@@ -43,7 +43,8 @@ use crate::broker_agent::BrokerAgent;
 use crate::builder::DaemonBuilder;
 use crate::pool::GpuPool;
 use crate::reactor::{NewConn, Reactor, Shared};
-use crate::worker::{release_context, SessionReport};
+use crate::session::release_context;
+use crate::worker::SessionReport;
 
 /// Longest single accept-error backoff, in milliseconds (before jitter).
 const ACCEPT_BACKOFF_CAP_MS: u64 = 64;

@@ -160,6 +160,18 @@ pub fn dispatch_batch_pooled(
     batch: &Batch,
     pool: Option<&BufferPool>,
 ) -> (BatchResponse, bool) {
+    dispatch_batch_with(ctx, batch, |ctx, req| dispatch_pooled(ctx, req, pool))
+}
+
+/// The batch walk behind every `dispatch_batch*` form, with the per-element
+/// dispatch supplied by the caller (the session engine wraps it with its
+/// observer span and chaos hook). Elements after a Quit are answered
+/// without `each` running.
+pub(crate) fn dispatch_batch_with(
+    ctx: &mut GpuContext,
+    batch: &Batch,
+    mut each: impl FnMut(&mut GpuContext, &Request) -> Option<Response>,
+) -> (BatchResponse, bool) {
     let mut responses = Vec::with_capacity(batch.len());
     let mut quit = false;
     for req in batch.requests() {
@@ -167,7 +179,7 @@ pub fn dispatch_batch_pooled(
             responses.push(Response::Ack(Err(CudaError::InvalidValue)));
             continue;
         }
-        match dispatch_pooled(ctx, req, pool) {
+        match each(ctx, req) {
             Some(resp) => responses.push(resp),
             None => {
                 responses.push(Response::Ack(Ok(())));

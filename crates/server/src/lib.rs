@@ -3,17 +3,27 @@
 //! §III: "on the other side, there is a GPU network service listening for
 //! requests on a TCP port. ... Time-multiplexing (sharing) the GPU is
 //! accomplished by spawning a different server process for each remote
-//! execution over a new GPU context." This crate is that service:
+//! execution over a new GPU context." This crate is that service, built as
+//! **one session engine behind two I/O drivers**:
 //!
-//! * [`worker`] — the blocking single-connection server: the
-//!   initialization handshake, then a request/dispatch/respond loop over a
-//!   fresh, **pre-initialized** GPU context (the warm context is why
-//!   remote executions skip the CUDA environment initialization delay,
-//!   §VI-B). Still the engine behind in-process channel sessions;
-//! * [`dispatch`] — maps each protocol request onto the context;
-//! * [`reactor`] — the sharded readiness-loop core: a fixed pool of shard
+//! * `session` (crate-private) — the sans-IO `SessionMachine`: the
+//!   compute-capability push, the hello in all its forms, the
+//!   request/dispatch/respond loop over a fresh, **pre-initialized** GPU
+//!   context (the warm context is why remote executions skip the CUDA
+//!   environment initialization delay, §VI-B), panic isolation, and
+//!   park-or-release at the end. Bytes in, bytes out, no threads or sockets;
+//! * [`worker`] — the blocking driver, [`serve_connection`]: one session on
+//!   the calling thread. Serves the facade's `Endpoint::Channel`,
+//!   `Endpoint::ChannelFaulty` and `Endpoint::Simulated`, each sub-stream
+//!   of [`serve_mux_trunk`], and `rcuda-workloads`. Also home of
+//!   [`ServerConfig`] / [`SessionReport`];
+//! * `reactor` (crate-private) — the readiness driver: a fixed pool of shard
 //!   threads multiplexing every admitted connection over nonblocking
-//!   transports, with the same per-session semantics as [`worker`];
+//!   transports. Serves `Endpoint::Tcp` and `Endpoint::Broker` sessions
+//!   (every TCP connection a daemon accepts),
+//!   [`RcudaDaemon::connect_in_process`], and the sub-streams of mux trunks
+//!   that arrive over TCP;
+//! * [`dispatch`] — maps each protocol request onto the context;
 //! * [`daemon`] — the TCP accept loop (admission control, accept backoff)
 //!   feeding the reactor; built through [`DaemonBuilder`].
 
@@ -25,6 +35,7 @@ pub mod mux_host;
 pub mod pool;
 pub(crate) mod reactor;
 pub mod registry;
+pub(crate) mod session;
 pub mod worker;
 
 pub use builder::DaemonBuilder;

@@ -1,12 +1,13 @@
-//! The sharded reactor: a fixed pool of readiness-loop workers
-//! multiplexing every connection the daemon serves.
+//! The readiness I/O driver: a fixed pool of shard threads multiplexing
+//! every connection the daemon serves.
 //!
 //! The thread-per-connection daemon reproduced the original middleware's
 //! process-per-execution model faithfully, but its thread count scaled with
 //! the session count — at thousands of concurrent remote executions the
 //! stacks alone dominate memory and the scheduler thrashes. The reactor
-//! keeps the per-session *semantics* (admission, quotas, panic isolation,
-//! park/resume, drain) while fixing the thread count:
+//! keeps the per-session *semantics* — they live in the one session engine,
+//! [`crate::session::SessionMachine`], which this file drives and
+//! [`crate::worker`] drives blocking — while fixing the thread count:
 //!
 //! * **N shards** (`DaemonBuilder::shards`), each one OS thread named
 //!   `rcuda-shard-<i>` running a readiness loop over its share of the
@@ -15,58 +16,40 @@
 //! * **Nonblocking transports** — each connection's transport is switched
 //!   with [`Transport::set_nonblocking`]; all I/O goes through
 //!   [`Transport::try_read`] / [`Transport::try_write`], so a stalled peer
-//!   parks its connection, never its shard.
-//! * **Incremental decode** — bytes accumulate in a per-connection
-//!   [`StreamDecoder`]; a partial frame simply stays buffered until more
-//!   bytes arrive. Frames are only materialized when complete, through the
-//!   same pooled parser as the blocking worker.
+//!   parks its connection, never its shard. A partial frame simply stays
+//!   buffered in the machine until more bytes arrive.
 //! * **Per-shard resources** — one [`BufferPool`] per shard (recycled
 //!   across its connections), one clock, and hash-routed
 //!   [`ShardedRegistry`] shards, so the steady-state request path touches
 //!   no cross-shard locks.
 //!
-//! Each connection advances through a small state machine
-//! (`Hello → [Resume] → Running → Closing`) that mirrors
-//! `worker::serve_connection_with_registry` decision-for-decision: the
-//! PR-4 conformance suite re-runs the admission/quota/panic/drain tests
-//! against this core unchanged.
+//! This driver serves every TCP connection, `RcudaDaemon::connect_in_process`
+//! and the sub-streams of reactor-hosted mux trunks. What it adds around the
+//! machine is daemon-side only: admission accounting, the pool seat, drain
+//! and halt, and the live-migration quiesce check.
 
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 use rcuda_core::time::wall_clock;
-use rcuda_core::{Clock as _, CudaError, SharedClock};
+use rcuda_core::Clock as _;
 use rcuda_gpu::{GpuContext, GpuDevice};
-use rcuda_obs::{DaemonEvent, ShardSpan};
-use rcuda_proto::codec::{fold_caps, CAP_ALL, CAP_LZ4};
-use rcuda_proto::handshake::write_hello_reply;
+use rcuda_obs::ShardSpan;
 use rcuda_proto::mux::MuxHello;
-use rcuda_proto::{BufferPool, ClientHello, Codec, Frame, SessionHello, StreamDecoder};
+use rcuda_proto::BufferPool;
 use rcuda_transport::{Progress, Transport};
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::{Shutdown, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::dispatch::dispatch_batch_pooled;
 use crate::pool::PoolGuard;
 use crate::registry::ShardedRegistry;
-use crate::worker::{
-    dispatch_batch_observed, dispatch_observed, panic_response, release_context, ServerConfig,
-    SessionReport, RESUME_WAIT,
-};
-use rcuda_proto::{BatchResponse, Request, Response};
+use crate::session::{Env, SessionMachine, Step};
+use crate::worker::{ServerConfig, SessionReport};
 
-/// Smallest per-connection read chunk: enough for every fixed-size request
-/// in one gulp while keeping idle connections cheap (10k parked
-/// connections hold 10k of these, so the floor matters).
-const READ_CHUNK_MIN: usize = 2 * 1024;
-/// Largest per-connection read chunk; reached only by connections that
-/// actually move bulk payloads.
-const READ_CHUNK_MAX: usize = 256 * 1024;
 /// Frames dispatched per connection per pass before yielding to shard
 /// neighbors (leftover frames stay buffered and the pass is re-run hot).
 const FRAMES_PER_PASS: u32 = 64;
@@ -293,6 +276,11 @@ impl Reactor {
 
 fn shard_loop(id: u32, rx: Receiver<NewConn>, queued: Arc<AtomicU32>, shared: Arc<Shared>) {
     let pool = BufferPool::new();
+    let env = Env {
+        config: &shared.config,
+        registry: shared.registry.shards(),
+        pool: &pool,
+    };
     let clock = wall_clock();
     let obs = shared.config.observer.clone();
     let mut conns: Vec<Conn> = Vec::new();
@@ -310,7 +298,7 @@ fn shard_loop(id: u32, rx: Receiver<NewConn>, queued: Arc<AtomicU32>, shared: Ar
             match rx.try_recv() {
                 Ok(new) => {
                     queued.fetch_sub(1, Ordering::SeqCst);
-                    conns.push(Conn::register(new, &shared));
+                    conns.push(Conn::register(new, &env));
                     admitted += 1;
                 }
                 Err(TryRecvError::Empty) => break,
@@ -327,11 +315,23 @@ fn shard_loop(id: u32, rx: Receiver<NewConn>, queued: Arc<AtomicU32>, shared: Ar
             if forcing {
                 conn.force_close();
             }
-            let act = conn.pump(&pool, &shared);
+            let act = conn.pump(&env, &shared);
             frames += act.frames;
             moved |= act.progress;
             if conn.done {
-                drop(conns.swap_remove(i));
+                let conn = conns.swap_remove(i);
+                if let Some((hello, leftover, pending_out)) = conn.trunk {
+                    // Pulled out of the shard for a dedicated trunk host
+                    // (see [`crate::mux_host`]).
+                    crate::mux_host::spawn_reactor_trunk(
+                        conn.transport,
+                        conn.raw,
+                        hello,
+                        leftover,
+                        pending_out,
+                        Arc::clone(&shared),
+                    );
+                }
             } else {
                 i += 1;
             }
@@ -370,63 +370,27 @@ fn shard_loop(id: u32, rx: Receiver<NewConn>, queued: Arc<AtomicU32>, shared: Ar
 
 // ---------------------------------------------------------- the connection
 
-#[derive(Clone, Copy)]
-enum Phase {
-    /// Waiting for the client's `SessionHello`.
-    Hello,
-    /// A `Reconnect` arrived before the dying connection parked the
-    /// session: poll the registry until the context shows up or the
-    /// deadline passes (the nonblocking form of
-    /// `SessionRegistry::take_deadline`).
-    Resume { session: u64, deadline: Instant },
-    /// The request/dispatch/respond loop.
-    Running,
-    /// Drain the outbound buffer, then finalize.
-    Closing,
-}
-
 struct PumpResult {
     frames: u32,
     progress: bool,
 }
 
+/// One connection on a shard: the transport, the session machine it feeds,
+/// and the daemon-side seat it occupies.
 struct Conn {
     transport: Box<dyn Transport>,
     raw: Option<TcpStream>,
-    decoder: StreamDecoder,
-    /// Outbound bytes not yet accepted by the transport.
-    out: Vec<u8>,
-    out_pos: usize,
-    /// Total bytes ever queued / flushed, for the handshake watermark.
-    queued_total: u64,
-    flushed_total: u64,
-    /// Once the outbound bytes up to this watermark are flushed, the
-    /// handshake has observably completed and the session produces a
-    /// report — exactly the connections whose blocking worker returned
-    /// `Ok(report)` rather than a handshake error.
-    handshake_done_at: Option<u64>,
-    phase: Phase,
-    /// Warm context created at admission (§VI-B); consumed by the hello.
-    fresh_ctx: Option<GpuContext>,
-    /// The device serving this connection, kept for snapshot restores
-    /// (a `Migrate` hello rebuilds a shipped context on it).
-    device: Arc<GpuDevice>,
-    ctx: Option<GpuContext>,
-    token: Option<u64>,
-    report: SessionReport,
-    clk: SharedClock,
-    read_chunk: usize,
-    eof: bool,
+    machine: SessionMachine,
     done: bool,
     guard: Option<PoolGuard>,
-    authenticated: bool,
-    /// Wire codec, installed when the client's `CodecHello` accepts the
-    /// capabilities advertised in the CC push; `None` = legacy framing.
-    codec: Option<Codec>,
+    /// Set when the client asked for the multiplexed framing layer: the
+    /// hello, every byte read past it, and every byte not yet written. The
+    /// shard hands the transport to a trunk host as it retires the `Conn`.
+    trunk: Option<(MuxHello, Vec<u8>, Vec<u8>)>,
 }
 
 impl Conn {
-    fn register(new: NewConn, shared: &Shared) -> Conn {
+    fn register(new: NewConn, env: &Env<'_>) -> Conn {
         let NewConn {
             transport,
             raw,
@@ -434,83 +398,22 @@ impl Conn {
             guard,
             authenticated,
         } = new;
-        let clk: SharedClock = wall_clock();
-        let config = &shared.config;
-        let fresh_ctx = if config.phantom_memory {
-            device.create_phantom_context(clk.clone(), config.preinitialize_context)
-        } else {
-            device.create_context(clk.clone(), config.preinitialize_context)
-        };
+        let machine = SessionMachine::new(device, wall_clock(), env, authenticated);
         let mut conn = Conn {
             transport,
             raw,
-            decoder: StreamDecoder::new(),
-            out: Vec::new(),
-            out_pos: 0,
-            queued_total: 0,
-            flushed_total: 0,
-            handshake_done_at: None,
-            phase: Phase::Hello,
-            fresh_ctx: Some(fresh_ctx),
-            device: Arc::clone(&device),
-            ctx: None,
-            token: None,
-            report: SessionReport::default(),
-            clk,
-            read_chunk: READ_CHUNK_MIN,
-            eof: false,
+            machine,
             done: false,
             guard: Some(guard),
-            authenticated,
-            codec: None,
+            trunk: None,
         };
         // A transport without a nonblocking half cannot be multiplexed;
         // close it immediately (register still returns a Conn so the
         // daemon counters balance through the normal finalize path).
         if conn.transport.set_nonblocking(true).is_err() {
-            conn.abort();
-            return conn;
+            conn.machine.transport_failed();
         }
-        // Phase 1a: announce the device (8-byte compute capability), with
-        // the daemon's codec capability bits folded into the high half of
-        // the minor word (legacy clients never inspect those bits).
-        let mut cc = device.properties().compute_capability_wire();
-        if config.codec {
-            let minor = u32::from_le_bytes(cc[4..8].try_into().expect("8-byte wire"));
-            cc[4..8].copy_from_slice(&fold_caps(minor, CAP_ALL).to_le_bytes());
-        }
-        conn.queue(|out| {
-            out.extend_from_slice(&cc);
-            Ok(())
-        });
         conn
-    }
-
-    /// Append serialized bytes to the outbound buffer. Writing to a `Vec`
-    /// cannot fail, so serializer errors here are programming errors.
-    fn queue<F: FnOnce(&mut Vec<u8>) -> io::Result<()>>(&mut self, f: F) {
-        let before = self.out.len();
-        f(&mut self.out).expect("serializing into a Vec cannot fail");
-        self.queued_total += (self.out.len() - before) as u64;
-    }
-
-    fn eligible(&self) -> bool {
-        self.handshake_done_at
-            .is_some_and(|w| self.flushed_total >= w)
-    }
-
-    /// Close without ever producing a report: the nonblocking equivalent
-    /// of the blocking worker returning a handshake `Err`.
-    fn abort(&mut self) {
-        self.handshake_done_at = None;
-        self.out_pos = self.out.len();
-        self.phase = Phase::Closing;
-    }
-
-    /// End the session through the normal report-producing path once the
-    /// outbound buffer drains.
-    fn begin_close(&mut self) {
-        self.phase = Phase::Closing;
     }
 
     /// Drain-deadline or daemon-halt close: shut the peer down and
@@ -519,456 +422,144 @@ impl Conn {
         if let Some(raw) = &self.raw {
             let _ = raw.shutdown(Shutdown::Both);
         }
-        self.eof = true;
-        self.out_pos = self.out.len();
-        self.phase = Phase::Closing;
-    }
-
-    /// A write failure is a vanished peer. Before the handshake watermark
-    /// flushed this matches a blocking handshake error (no report); after
-    /// it, the blocking worker's `break` (report, park-eligible).
-    fn on_write_failure(&mut self) {
-        if self.eligible() {
-            self.out_pos = self.out.len();
-            self.begin_close();
-        } else {
-            self.abort();
-        }
+        self.machine.force_close();
     }
 
     /// Push pending outbound bytes into the transport. Returns whether any
     /// bytes moved.
     fn flush_out(&mut self) -> bool {
         let mut progress = false;
-        while self.out_pos < self.out.len() {
-            match self.transport.try_write(&self.out[self.out_pos..]) {
-                Ok(Progress::Ready(0)) | Ok(Progress::Pending) => break,
+        while !self.machine.out().is_empty() {
+            match self.transport.try_write(self.machine.out()) {
+                Ok(Progress::Ready(0)) | Ok(Progress::Pending) => return progress,
                 Ok(Progress::Ready(n)) => {
-                    self.out_pos += n;
-                    self.flushed_total += n as u64;
+                    self.machine.consumed(n);
                     progress = true;
                 }
                 Err(_) => {
-                    self.on_write_failure();
+                    self.machine.transport_failed();
                     return progress;
                 }
             }
         }
-        if self.out_pos >= self.out.len() && !self.out.is_empty() {
-            self.out.clear();
-            self.out_pos = 0;
-            // Mark the message boundary. On a nonblocking endpoint a flush
-            // that cannot complete right now reports WouldBlock and is
-            // retried implicitly by the next pass's writes.
+        if progress {
+            // Everything queued is out: mark the message boundary. On a
+            // nonblocking endpoint a flush that cannot complete right now
+            // reports WouldBlock and is retried implicitly by the next
+            // pass's writes.
             if let Err(e) = self.transport.flush() {
                 if e.kind() != io::ErrorKind::WouldBlock {
-                    self.on_write_failure();
+                    self.machine.transport_failed();
                 }
             }
         }
         progress
     }
 
-    /// One readiness pass: flush, read, decode/dispatch, flush, finalize.
-    fn pump(&mut self, pool: &BufferPool, shared: &Arc<Shared>) -> PumpResult {
+    /// One readiness pass: flush, read, step the machine, flush, finalize.
+    fn pump(&mut self, env: &Env<'_>, shared: &Arc<Shared>) -> PumpResult {
         let mut res = PumpResult {
             frames: 0,
             progress: false,
         };
         res.progress |= self.flush_out();
 
-        // Read whatever the transport has, growing the chunk for
+        // Read whatever the transport has; the machine grows the chunk for
         // connections that move bulk data.
-        if !self.eof && !matches!(self.phase, Phase::Closing) {
-            loop {
-                let chunk = self.read_chunk;
-                let space = self.decoder.space(chunk);
-                match self.transport.try_read(space) {
-                    Ok(Progress::Ready(0)) => {
-                        self.eof = true;
-                        res.progress = true;
+        while self.machine.wants_read() {
+            match self.transport.try_read(self.machine.space()) {
+                Ok(Progress::Ready(n)) if n > 0 => {
+                    res.progress = true;
+                    if !self.machine.commit(n) {
                         break;
                     }
-                    Ok(Progress::Ready(n)) => {
-                        self.decoder.commit(n);
-                        res.progress = true;
-                        if n == chunk && chunk < READ_CHUNK_MAX {
-                            self.read_chunk = (chunk * 2).min(READ_CHUNK_MAX);
-                        } else {
-                            break;
-                        }
-                    }
-                    Ok(Progress::Pending) => break,
-                    // A read error is a client disconnect, not a server
-                    // fault — same as EOF once buffered frames are served.
-                    Err(_) => {
-                        self.eof = true;
-                        break;
-                    }
+                }
+                Ok(Progress::Pending) => break,
+                Ok(Progress::Ready(_)) | Err(_) => {
+                    self.machine.eof();
+                    res.progress = true;
                 }
             }
         }
 
-        self.process(pool, shared, &mut res);
+        while res.frames < FRAMES_PER_PASS {
+            match self.machine.step(env, Instant::now) {
+                Step::Idle | Step::AwaitResume { .. } | Step::Closing => break,
+                Step::Handshake => {
+                    res.progress = true;
+                    if let Some(token) = self.machine.token() {
+                        shared.live_tokens.lock().insert(token);
+                    }
+                }
+                Step::Frame => {
+                    res.frames += 1;
+                    res.progress = true;
+                }
+                Step::Mux {
+                    hello,
+                    leftover,
+                    pending_out,
+                } => {
+                    // The trunk is not a session — its sub-streams are
+                    // admitted individually — so the accept-time accounting
+                    // is balanced here as an immediately-finished
+                    // connection and the pool seat is returned.
+                    drop(self.guard.take());
+                    shared.counters.served.fetch_add(1, Ordering::SeqCst);
+                    shared.counters.live.fetch_sub(1, Ordering::SeqCst);
+                    self.trunk = Some((hello, leftover, pending_out));
+                    self.done = true;
+                    res.progress = true;
+                    return res;
+                }
+            }
+        }
 
         res.progress |= self.flush_out();
         self.quiesce_for_migration(shared, &mut res);
-        if matches!(self.phase, Phase::Closing) && self.out_pos >= self.out.len() {
-            self.finalize(pool, shared);
+        if self.machine.closing() && self.machine.out().is_empty() {
+            self.finalize(env, shared);
             res.progress = true;
         }
         res
     }
 
-    /// Live-migration quiesce point. A `Running` session whose token has an
-    /// armed migration order is captured at a frame boundary: every
-    /// response flushed, no partial request buffered, peer still present.
-    /// The context travels to `RcudaDaemon::migrate_out` through the
-    /// order's channel; the connection then closes without parking (the
-    /// session lives elsewhere now), and the client's reconnect finds it
-    /// on the target daemon.
+    /// Live-migration quiesce point. A running session whose token has an
+    /// armed migration order is captured at a frame boundary. The context
+    /// travels to `RcudaDaemon::migrate_out` through the order's channel;
+    /// the connection then closes without parking (the session lives
+    /// elsewhere now), and the client's reconnect finds it on the target
+    /// daemon.
     fn quiesce_for_migration(&mut self, shared: &Shared, res: &mut PumpResult) {
-        if !shared.migrations.is_armed() || !matches!(self.phase, Phase::Running) || self.eof {
+        if !shared.migrations.is_armed() {
             return;
         }
-        let Some(token) = self.token else { return };
-        if self.out_pos < self.out.len() || self.decoder.buffered() != 0 {
+        let Some(token) = self.machine.quiescent_token() else {
             return;
-        }
+        };
         let Some(tx) = shared.migrations.take(token) else {
             return;
         };
-        let ctx = self.ctx.take().expect("Running implies a context");
-        if let Err(back) = tx.send(ctx) {
-            // The daemon gave up waiting between our checks and the send:
-            // keep serving as if nothing happened.
-            self.ctx = Some(back.0);
-            return;
-        }
-        shared.live_tokens.lock().remove(&token);
-        self.token = None;
-        self.force_close();
-        res.progress = true;
-    }
-
-    fn process(&mut self, pool: &BufferPool, shared: &Arc<Shared>, res: &mut PumpResult) {
-        loop {
-            match self.phase {
-                Phase::Hello => match self.decoder.poll_client_hello() {
-                    Ok(Some(ClientHello::Mux(hello))) => {
-                        self.upgrade_to_mux(hello, shared);
-                        res.progress = true;
-                        return;
-                    }
-                    Ok(Some(ClientHello::Codec(caps))) => {
-                        // The client accepted the advertised codec: switch
-                        // this connection's framing and stay in the hello
-                        // phase — the session hello proper follows.
-                        if caps & CAP_LZ4 != 0 {
-                            self.codec = Some(Codec::new(pool.clone()));
-                        }
-                        res.progress = true;
-                    }
-                    Ok(Some(ClientHello::Session(hello))) => {
-                        if shared.config.auth_token.is_some() && !self.authenticated {
-                            // A legacy hello cannot carry the required
-                            // token: answer with the 4-byte auth error
-                            // every hello form reads, then close through
-                            // the normal report path (`served` still
-                            // balances; the slot frees on finalize).
-                            self.queue(|out| write_hello_reply(out, &Err(CudaError::AuthFailed)));
-                            self.handshake_done_at = Some(self.queued_total);
-                            self.begin_close();
-                            res.progress = true;
-                            return;
-                        }
-                        self.on_hello(hello, shared);
-                        res.progress = true;
-                    }
-                    Ok(None) => {
-                        if self.eof {
-                            self.abort();
-                        }
-                        return;
-                    }
-                    Err(_) => {
-                        self.abort();
-                        return;
-                    }
-                },
-                Phase::Resume { session, deadline } => {
-                    if self.eof {
-                        self.abort();
-                        return;
-                    }
-                    match shared.registry.take(session) {
-                        Some(ctx) => {
-                            self.on_resumed(session, ctx, shared);
-                            res.progress = true;
-                        }
-                        None if Instant::now() >= deadline => {
-                            // Nothing parked under that token: reject and
-                            // end the connection cleanly (with a report).
-                            self.queue(|out| {
-                                write_hello_reply(out, &Err(CudaError::InitializationError))
-                            });
-                            self.handshake_done_at = Some(self.queued_total);
-                            self.begin_close();
-                            res.progress = true;
-                            return;
-                        }
-                        None => return,
-                    }
-                }
-                Phase::Running => {
-                    if res.frames >= FRAMES_PER_PASS {
-                        return;
-                    }
-                    match self
-                        .decoder
-                        .poll_frame_codec(Some(pool), self.codec.as_ref())
-                    {
-                        Ok(Some(frame)) => {
-                            res.frames += 1;
-                            res.progress = true;
-                            self.on_frame(frame, pool, shared);
-                        }
-                        Ok(None) => {
-                            if self.eof {
-                                // Disconnect: unorderly end (park-eligible).
-                                self.begin_close();
-                            }
-                            return;
-                        }
-                        // Garbage on the wire ends the session, not the
-                        // daemon: the blocking worker's loop exit.
-                        Err(_) => {
-                            self.begin_close();
-                            return;
-                        }
-                    }
-                }
-                Phase::Closing => return,
-            }
+        // A failed send means the daemon gave up waiting between our
+        // checks and the send: keep serving as if nothing happened.
+        if self.machine.detach(|ctx| tx.send(ctx).err().map(|e| e.0)) {
+            shared.live_tokens.lock().remove(&token);
+            self.force_close();
+            res.progress = true;
         }
     }
 
-    /// The client asked for the multiplexed framing layer: pull this
-    /// connection out of the shard and hand it to a dedicated trunk host
-    /// (see [`crate::mux_host`]). The trunk is not a session — its
-    /// sub-streams are admitted individually — so the accept-time
-    /// accounting is balanced here as an immediately-finished connection
-    /// and the warm context and pool seat are returned.
-    fn upgrade_to_mux(&mut self, hello: MuxHello, shared: &Arc<Shared>) {
-        drop(self.fresh_ctx.take());
-        drop(self.guard.take());
-        let c = &shared.counters;
-        c.served.fetch_add(1, Ordering::SeqCst);
-        c.live.fetch_sub(1, Ordering::SeqCst);
-
-        let transport = std::mem::replace(&mut self.transport, Box::new(ClosedTransport));
-        let leftover = self.decoder.take_buffered();
-        let pending_out = self.out[self.out_pos..].to_vec();
-        self.out.clear();
-        self.out_pos = 0;
-        self.done = true;
-        crate::mux_host::spawn_reactor_trunk(
-            transport,
-            self.raw.take(),
-            hello,
-            leftover,
-            pending_out,
-            Arc::clone(shared),
-        );
-    }
-
-    fn on_hello(&mut self, hello: SessionHello, shared: &Shared) {
-        match hello {
-            SessionHello::Fresh { module } => {
-                self.init_fresh(module, None, shared);
-            }
-            SessionHello::Resumable { session, module } => {
-                self.init_fresh(module, Some(session), shared);
-            }
-            SessionHello::Reconnect { session } => {
-                // The pre-created context is discarded: the parked one
-                // carries the session's state.
-                drop(self.fresh_ctx.take());
-                match shared.registry.take(session) {
-                    Some(ctx) => self.on_resumed(session, ctx, shared),
-                    None => {
-                        self.phase = Phase::Resume {
-                            session,
-                            deadline: Instant::now() + RESUME_WAIT,
-                        };
-                    }
-                }
-            }
-            SessionHello::Migrate { session, snapshot } => {
-                // A peer daemon is shipping a quiesced session here. The
-                // restored context parks immediately — the client's
-                // reconnect resumes it exactly like a locally parked one.
-                drop(self.fresh_ctx.take());
-                let reply = self.install_snapshot(session, &snapshot, shared);
-                self.queue(|out| write_hello_reply(out, &reply));
-                self.handshake_done_at = Some(self.queued_total);
-                self.begin_close();
-            }
-        }
-    }
-
-    /// Rebuild a shipped context from its snapshot on this connection's
-    /// device and park it under the session's token. Errors go back to the
-    /// shipping daemon as the hello reply (it keeps its copy on failure).
-    fn install_snapshot(
-        &mut self,
-        session: u64,
-        snapshot: &[u8],
-        shared: &Shared,
-    ) -> rcuda_core::CudaResult<()> {
-        let snap = rcuda_gpu::snapshot::ContextSnapshot::decode(snapshot)
-            .map_err(|_| CudaError::InvalidValue)?;
-        let mut ctx = self.device.restore_context(self.clk.clone(), &snap)?;
-        ctx.set_mem_quota(shared.config.session_mem_quota);
-        if let Some((evicted, evicted_ctx)) = shared.registry.park(session, ctx) {
-            let obs = &shared.config.observer;
-            obs.emit_daemon(DaemonEvent::SessionEvicted { session: evicted });
-            self.report.reclaimed_bytes += release_context(evicted_ctx, obs);
-        }
-        Ok(())
-    }
-
-    fn init_fresh(&mut self, module: Vec<u8>, token: Option<u64>, shared: &Shared) {
-        let obs = shared.config.observer.clone();
-        let mut ctx = self
-            .fresh_ctx
-            .take()
-            .expect("hello arrives once per connection");
-        let resp = dispatch_observed(&mut ctx, &Request::Init { module }, None, &self.clk, &obs)
-            .expect("init never quits");
-        self.queue(|out| resp.write(out));
-        self.handshake_done_at = Some(self.queued_total);
-        // Multi-tenant limits apply to resumed sessions too: the quota
-        // follows the config serving the connection.
-        ctx.set_mem_quota(shared.config.session_mem_quota);
-        self.ctx = Some(ctx);
-        self.token = token;
-        if let Some(session) = token {
-            shared.live_tokens.lock().insert(session);
-        }
-        self.phase = Phase::Running;
-    }
-
-    fn on_resumed(&mut self, session: u64, mut ctx: GpuContext, shared: &Shared) {
-        self.queue(|out| write_hello_reply(out, &Ok(())));
-        self.handshake_done_at = Some(self.queued_total);
-        self.report.resumed = true;
-        ctx.set_mem_quota(shared.config.session_mem_quota);
-        self.ctx = Some(ctx);
-        self.token = Some(session);
-        shared.live_tokens.lock().insert(session);
-        self.phase = Phase::Running;
-    }
-
-    fn on_frame(&mut self, frame: Frame, pool: &BufferPool, shared: &Shared) {
-        let obs = shared.config.observer.clone();
-        let chaos = &shared.config.chaos;
-        // Taken for the duration so the queue closures (which borrow `self`
-        // mutably) can frame responses through it; restored on exit.
-        let codec = self.codec.take();
-        let ctx = self.ctx.as_mut().expect("Running implies a context");
-        match frame {
-            Frame::Single(req) => {
-                self.report.requests += 1;
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    chaos.fire(&req);
-                    dispatch_observed(ctx, &req, Some(pool), &self.clk, &obs)
-                }));
-                match outcome {
-                    Ok(Some(resp)) => self.queue(|out| resp.write_codec(out, codec.as_ref())),
-                    Ok(None) => {
-                        // Finalization stage: acknowledge the Quit, then
-                        // release everything (§III).
-                        let ack = Response::Ack(Ok(()));
-                        self.queue(|out| ack.write(out));
-                        self.report.orderly_shutdown = true;
-                        self.begin_close();
-                    }
-                    Err(_) => {
-                        let resp = panic_response(&req);
-                        self.queue(|out| resp.write(out));
-                        obs.emit_daemon(DaemonEvent::SessionPanicked);
-                        self.report.panicked = true;
-                        self.begin_close();
-                    }
-                }
-            }
-            Frame::Batch(batch) => {
-                self.report.requests += batch.len() as u64;
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    if obs.is_enabled() || chaos.is_armed() {
-                        dispatch_batch_observed(ctx, &batch, Some(pool), &self.clk, &obs, chaos)
-                    } else {
-                        dispatch_batch_pooled(ctx, &batch, Some(pool))
-                    }
-                }));
-                match outcome {
-                    Ok((resp, quit)) => {
-                        self.queue(|out| resp.write_codec(out, codec.as_ref()));
-                        if quit {
-                            self.report.orderly_shutdown = true;
-                            self.begin_close();
-                        }
-                    }
-                    Err(_) => {
-                        // Answer every element so the frame stays shaped,
-                        // then kill the session.
-                        let responses = batch.requests().iter().map(panic_response).collect();
-                        let resp = BatchResponse { responses };
-                        self.queue(|out| resp.write(out));
-                        obs.emit_daemon(DaemonEvent::SessionPanicked);
-                        self.report.panicked = true;
-                        self.begin_close();
-                    }
-                }
-            }
-        }
-        self.codec = codec;
-    }
-
-    /// Session end: the blocking worker's exit path, plus the daemon-side
-    /// accounting its spawner used to do.
-    fn finalize(&mut self, pool: &BufferPool, shared: &Shared) {
+    /// Session end: the machine parks or releases the context; this is the
+    /// daemon-side accounting around it.
+    fn finalize(&mut self, env: &Env<'_>, shared: &Shared) {
         self.done = true;
         drop(self.guard.take());
-        if let Some(token) = self.token {
+        if let Some(token) = self.machine.token() {
             // Parked tokens are advertised through the registry instead;
             // a migrated-away session already cleared its token.
             shared.live_tokens.lock().remove(&token);
         }
-        let obs = &shared.config.observer;
-        if self.eligible() {
-            let mut report = std::mem::take(&mut self.report);
-            if let Some(ctx) = self.ctx.take() {
-                match self.token {
-                    Some(session) if !report.orderly_shutdown && !report.panicked => {
-                        // Unorderly end of a resumable session: park the
-                        // context for the client's reconnect. A session
-                        // evicted to make room is reclaimed here, through
-                        // the same path as a session exit.
-                        if let Some((evicted, evicted_ctx)) = shared.registry.park(session, ctx) {
-                            obs.emit_daemon(DaemonEvent::SessionEvicted { session: evicted });
-                            report.reclaimed_bytes += release_context(evicted_ctx, obs);
-                        }
-                        report.parked = true;
-                    }
-                    _ => {
-                        report.leaked_allocations = ctx.live_allocations();
-                        report.reclaimed_bytes += release_context(ctx, obs);
-                    }
-                }
-            }
-            report.pool = pool.stats();
+        if let Some(report) = self.machine.finish(env) {
             if report.panicked {
                 shared.counters.panics.fetch_add(1, Ordering::SeqCst);
             }
@@ -978,46 +569,11 @@ impl Conn {
                 .fetch_add(report.reclaimed_bytes, Ordering::SeqCst);
             shared.reports.lock().push(report);
             shared.sessions_served.fetch_add(1, Ordering::SeqCst);
-        } else {
-            // The handshake never observably completed: contexts drop
-            // silently, mirroring the blocking worker's early `Err` return
-            // (a warm, allocation-free context releases nothing).
-            drop(self.fresh_ctx.take());
-            drop(self.ctx.take());
         }
         shared.counters.served.fetch_add(1, Ordering::SeqCst);
         shared.drain.note_closed();
         // `live` goes last: a drain watching it hit zero must observe this
         // connection's graceful/forced accounting already settled.
         shared.counters.live.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// The stand-in left behind when a connection's transport is moved to a
-/// mux trunk host: reads are EOF, writes fail.
-struct ClosedTransport;
-
-impl io::Read for ClosedTransport {
-    fn read(&mut self, _buf: &mut [u8]) -> io::Result<usize> {
-        Ok(0)
-    }
-}
-
-impl io::Write for ClosedTransport {
-    fn write(&mut self, _buf: &[u8]) -> io::Result<usize> {
-        Err(io::Error::new(
-            io::ErrorKind::BrokenPipe,
-            "transport moved to a mux trunk host",
-        ))
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-}
-
-impl Transport for ClosedTransport {
-    fn stats(&self) -> rcuda_transport::TransportStats {
-        rcuda_transport::TransportStats::default()
     }
 }

@@ -161,6 +161,15 @@ impl SessionRegistry {
     }
 }
 
+/// The registry among `shards` that holds `session`. Routing is by token
+/// hash; a lone registry (the blocking driver's) is a one-element slice.
+pub(crate) fn route(shards: &[SessionRegistry], session: u64) -> &SessionRegistry {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    session.hash(&mut h);
+    &shards[(h.finish() % shards.len() as u64) as usize]
+}
+
 /// A hash-routed set of [`SessionRegistry`] shards.
 ///
 /// The reactor daemon parks and resumes sessions from every shard thread;
@@ -202,10 +211,12 @@ impl ShardedRegistry {
     }
 
     fn route(&self, session: u64) -> &SessionRegistry {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        session.hash(&mut h);
-        &self.shards[(h.finish() % self.shards.len() as u64) as usize]
+        route(&self.shards, session)
+    }
+
+    /// The hash-routed shards, for [`route`].
+    pub(crate) fn shards(&self) -> &[SessionRegistry] {
+        &self.shards
     }
 
     /// Number of registry shards (≥ 1).

@@ -1,38 +1,33 @@
-//! Per-connection session worker.
+//! The blocking I/O driver, and the session's public vocabulary.
 //!
-//! One worker serves one remote execution over one fresh GPU context
-//! (§III). The session follows Fig. 2 exactly:
+//! [`serve_connection`] / [`serve_connection_with_registry`] serve one
+//! connection to completion on the calling thread: a blocking read →
+//! `SessionMachine::step` → `write_all` + `flush` loop around the one
+//! session engine in `crate::session`. Every protocol decision lives in
+//! the machine; this file only moves bytes. It is the driver for transports
+//! with no nonblocking half (`SimTransport`, `FaultyTransport`) and for
+//! every caller that wants a session on a thread of its own — the facade's
+//! `Endpoint::Channel` / `ChannelFaulty` / `Simulated`, the per-stream
+//! workers of [`crate::serve_mux_trunk`], `rcuda-workloads`. TCP and
+//! `RcudaDaemon::connect_in_process` sessions run the same machine under
+//! the readiness driver in `crate::reactor`.
 //!
-//! 1. push the device's 8-byte compute capability (the first half of
-//!    Table I's 12 receive bytes for Initialization);
-//! 2. read the module-upload request, load it, acknowledge;
-//! 3. loop: read request → dispatch → respond, until Quit or disconnect.
+//! [`ServerConfig`], [`SessionReport`] and [`ChaosHook`] — what a session is
+//! configured with and what it reports — are defined here for both drivers.
 
-use rcuda_core::{CudaError, SharedClock, SimTime};
-use rcuda_gpu::{GpuContext, GpuDevice};
-use rcuda_obs::{DaemonEvent, ObsHandle, Op, PoolStats, ServerSpan};
-use rcuda_proto::codec::{fold_caps, CodecHello, CAP_ALL, CAP_LZ4};
-use rcuda_proto::handshake::write_hello_reply;
-use rcuda_proto::ids::{FunctionId, MemcpyKind};
+use rcuda_core::SharedClock;
+use rcuda_gpu::GpuDevice;
+use rcuda_obs::{ObsHandle, PoolStats};
 use rcuda_proto::secure::CipherSuiteKind;
-use rcuda_proto::wire::get_u32;
-use rcuda_proto::{
-    Batch, BatchResponse, BufferPool, Codec, Frame, Request, Response, SessionHello,
-};
+use rcuda_proto::{BufferPool, Request};
 use rcuda_transport::Transport;
 use std::fmt;
 use std::io;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::Instant;
 
-use crate::dispatch::{dispatch_batch_pooled, dispatch_pooled};
 use crate::registry::SessionRegistry;
-
-/// How long a reconnecting client's worker waits for the dead worker to
-/// park the session before rejecting the resume. Covers the window between
-/// the new connection being accepted and the old worker observing EOF.
-pub(crate) const RESUME_WAIT: Duration = Duration::from_secs(1);
+use crate::session::{Env, SessionMachine, Step};
 
 /// A test-only dispatch hook, fired with every post-handshake request just
 /// before it is dispatched (inside the worker's panic guard). The chaos
@@ -205,342 +200,69 @@ pub fn serve_connection_with_registry<T: Transport>(
     config: &ServerConfig,
     registry: &SessionRegistry,
 ) -> io::Result<SessionReport> {
-    let obs = config.observer.clone();
     // One payload pool per connection: H2D request bodies are decoded into
     // it and D2H replies staged from it, so the steady-state request loop
     // recycles the same buffers instead of allocating per call.
     let pool = BufferPool::new();
-    // The worker keeps its own clock handle: the context takes ownership of
-    // `clock` (it charges simulated GPU time to it), and the span timestamps
-    // must come from that same clock so client and server spans line up.
-    let clk = clock.clone();
-    // The context is created at accept time — before the client says
-    // anything — reproducing the warm-context behavior of §VI-B.
-    let fresh_ctx = if config.phantom_memory {
-        device.create_phantom_context(clock, config.preinitialize_context)
-    } else {
-        device.create_context(clock, config.preinitialize_context)
+    let env = Env {
+        config,
+        registry: std::slice::from_ref(registry),
+        pool: &pool,
     };
-
-    // Phase 1a: announce the device (8-byte compute capability). A
-    // codec-advertising daemon folds its capability bits into the high half
-    // of the minor word — legacy clients read the full word as the minor
-    // digit but never inspect it beyond display, while codec-aware clients
-    // mask it off (see `rcuda_proto::codec`).
-    let mut cc = device.properties().compute_capability_wire();
-    if config.codec {
-        let minor = u32::from_le_bytes(cc[4..8].try_into().expect("8-byte wire"));
-        cc[4..8].copy_from_slice(&fold_caps(minor, CAP_ALL).to_le_bytes());
-    }
-    transport.write_all(&cc)?;
-    transport.flush()?;
-
-    let mut report = SessionReport::default();
-
-    // Phase 1b: session handshake. A codec-opting client precedes its
-    // session hello with the one-way `CodecHello`; peel it off and switch
-    // the connection's framing before parsing the hello proper.
-    let mut first = get_u32(&mut transport)?;
-    let mut codec: Option<Codec> = None;
-    if first == FunctionId::Codec.as_u32() {
-        let accept = CodecHello::read_body(&mut transport)?;
-        if accept.caps & CAP_LZ4 != 0 {
-            codec = Some(Codec::new(pool.clone()));
-        }
-        first = get_u32(&mut transport)?;
-    }
-    let hello = SessionHello::read_after(first, &mut transport)?;
-
-    // An auth-gated server only serves sessions that arrived through an
-    // authenticated mux trunk (which clears `auth_token` for its per-stream
-    // configs). A legacy single-stream hello cannot carry the token, so it
-    // is rejected before any context work — the same 4-byte error code
-    // every hello form knows how to read.
-    if config.auth_token.is_some() {
-        drop(fresh_ctx);
-        write_hello_reply(&mut transport, &Err(CudaError::AuthFailed))?;
-        transport.flush()?;
-        return Ok(report);
-    }
-
-    let (mut ctx, session_token) = match hello {
-        SessionHello::Fresh { module } => {
-            let mut ctx = fresh_ctx;
-            let resp = dispatch_observed(&mut ctx, &Request::Init { module }, None, &clk, &obs)
-                .expect("init never quits");
-            resp.write(&mut transport)?;
-            transport.flush()?;
-            (ctx, None)
-        }
-        SessionHello::Resumable { session, module } => {
-            let mut ctx = fresh_ctx;
-            let resp = dispatch_observed(&mut ctx, &Request::Init { module }, None, &clk, &obs)
-                .expect("init never quits");
-            resp.write(&mut transport)?;
-            transport.flush()?;
-            (ctx, Some(session))
-        }
-        SessionHello::Reconnect { session } => {
-            // The pre-created context is discarded: the parked one carries
-            // the session's state.
-            drop(fresh_ctx);
-            match registry.take_deadline(session, RESUME_WAIT) {
-                Some(ctx) => {
-                    write_hello_reply(&mut transport, &Ok(()))?;
-                    transport.flush()?;
-                    report.resumed = true;
-                    (ctx, Some(session))
-                }
-                None => {
-                    // Nothing parked under that token: reject and end the
-                    // connection cleanly.
-                    write_hello_reply(&mut transport, &Err(CudaError::InitializationError))?;
-                    transport.flush()?;
-                    return Ok(report);
-                }
+    let mut machine = SessionMachine::new(Arc::clone(device), clock, &env, false);
+    loop {
+        // `step` handles one message per call, so this is one flush per
+        // reply: the flush marks the message boundary that latency
+        // accounting (and TCP packetization) keys on.
+        let n = machine.out().len();
+        if n > 0 {
+            match transport
+                .write_all(machine.out())
+                .and_then(|()| transport.flush())
+            {
+                Ok(()) => machine.consumed(n),
+                Err(_) => machine.transport_failed(),
             }
         }
-        SessionHello::Migrate { session, snapshot } => {
-            // A peer daemon ships a quiesced session: rebuild its context
-            // from the snapshot and park it for the client's reconnect.
-            // Errors go back as the hello reply (the shipper keeps its
-            // copy on failure) and the connection ends either way.
-            drop(fresh_ctx);
-            let reply = rcuda_gpu::snapshot::ContextSnapshot::decode(&snapshot)
-                .map_err(|_| CudaError::InvalidValue)
-                .and_then(|snap| device.restore_context(clk.clone(), &snap))
-                .map(|mut ctx| {
-                    ctx.set_mem_quota(config.session_mem_quota);
-                    if let Some((evicted, evicted_ctx)) = registry.park(session, ctx) {
-                        obs.emit_daemon(DaemonEvent::SessionEvicted { session: evicted });
-                        report.reclaimed_bytes += release_context(evicted_ctx, &obs);
-                    }
-                });
-            write_hello_reply(&mut transport, &reply)?;
-            transport.flush()?;
-            return Ok(report);
-        }
-    };
-
-    // Multi-tenant limits apply to resumed sessions too: the quota follows
-    // the config serving the connection, not the context's history.
-    ctx.set_mem_quota(config.session_mem_quota);
-
-    // Phase 2: read until the client quits or vanishes (a read error is a
-    // client disconnect, not a server fault). Both framings are accepted:
-    // the paper's one-call-per-message protocol and the batched extension.
-    // Dispatch runs inside a panic guard: a panicking request (a dispatch
-    // bug, or the chaos hook) kills this one session — answered with a
-    // correctly-shaped `cudaErrorLaunchFailure` so the client never
-    // desyncs — and the daemon lives on.
-    while let Ok(frame) = Frame::read_codec(&mut transport, Some(&pool), codec.as_ref()) {
-        match frame {
-            Frame::Single(req) => {
-                report.requests += 1;
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    config.chaos.fire(&req);
-                    dispatch_observed(&mut ctx, &req, Some(&pool), &clk, &obs)
-                }));
-                match outcome {
-                    Ok(Some(resp)) => {
-                        if resp.write_codec(&mut transport, codec.as_ref()).is_err()
-                            || transport.flush().is_err()
-                        {
-                            break;
-                        }
-                    }
-                    Ok(None) => {
-                        // Finalization stage: acknowledge the Quit, then
-                        // release everything ("the daemon server quits
-                        // servicing the current execution and releases the
-                        // associated resources", §III).
-                        let _ = Response::Ack(Ok(())).write(&mut transport);
-                        let _ = transport.flush();
-                        report.orderly_shutdown = true;
-                        break;
-                    }
-                    Err(_) => {
-                        let _ = panic_response(&req).write(&mut transport);
-                        let _ = transport.flush();
-                        obs.emit_daemon(DaemonEvent::SessionPanicked);
-                        report.panicked = true;
-                        break;
-                    }
+        match machine.step(&env, Instant::now) {
+            Step::Handshake | Step::Frame => {}
+            Step::Idle => match transport.read(machine.space()) {
+                Ok(n) if n > 0 => {
+                    machine.commit(n);
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                _ => machine.eof(),
+            },
+            Step::AwaitResume { session, deadline } => {
+                // Block on the registry where a shard would poll it. A miss
+                // returns at the deadline, and the next step rejects.
+                let wait = deadline.saturating_duration_since(Instant::now());
+                if let Some(ctx) = registry.take_deadline(session, wait) {
+                    machine.resumed(session, ctx, &env);
                 }
             }
-            Frame::Batch(batch) => {
-                report.requests += batch.len() as u64;
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    if obs.is_enabled() || config.chaos.is_armed() {
-                        dispatch_batch_observed(
-                            &mut ctx,
-                            &batch,
-                            Some(&pool),
-                            &clk,
-                            &obs,
-                            &config.chaos,
-                        )
-                    } else {
-                        dispatch_batch_pooled(&mut ctx, &batch, Some(&pool))
-                    }
-                }));
-                let (resp, quit) = match outcome {
-                    Ok(pair) => pair,
-                    Err(_) => {
-                        // Answer every element so the frame stays shaped,
-                        // then kill the session.
-                        let responses = batch.requests().iter().map(panic_response).collect();
-                        let _ = BatchResponse { responses }.write(&mut transport);
-                        let _ = transport.flush();
-                        obs.emit_daemon(DaemonEvent::SessionPanicked);
-                        report.panicked = true;
-                        break;
-                    }
-                };
-                if resp.write_codec(&mut transport, codec.as_ref()).is_err()
-                    || transport.flush().is_err()
-                {
-                    break;
-                }
-                if quit {
-                    report.orderly_shutdown = true;
-                    break;
-                }
-            }
+            // A trunk needs a host (`serve_mux_trunk`), not a session
+            // driver: the machine closed without a report.
+            Step::Mux { .. } | Step::Closing => break,
         }
     }
-
-    match session_token {
-        Some(session) if !report.orderly_shutdown && !report.panicked => {
-            // Unorderly end of a resumable session: keep the context alive
-            // for the client's reconnect instead of releasing it. A session
-            // evicted to make room is reclaimed here, through the same path
-            // as a worker exit.
-            if let Some((evicted, evicted_ctx)) = registry.park(session, ctx) {
-                obs.emit_daemon(DaemonEvent::SessionEvicted { session: evicted });
-                report.reclaimed_bytes += release_context(evicted_ctx, &obs);
-            }
-            report.parked = true;
-        }
-        _ => {
-            report.leaked_allocations = ctx.live_allocations();
-            report.reclaimed_bytes += release_context(ctx, &obs);
-        }
-    }
-    report.pool = pool.stats();
-    Ok(report)
-}
-
-/// Release a session's context, returning the device bytes it gave back.
-/// Dropping the context returns its allocations to the device ledger; the
-/// observer hears about any nonzero reclamation. Worker exit, registry
-/// eviction, and daemon drain all release through here.
-pub(crate) fn release_context(ctx: GpuContext, obs: &ObsHandle) -> u64 {
-    let bytes = ctx.used_bytes();
-    drop(ctx);
-    if bytes > 0 {
-        obs.emit_daemon(DaemonEvent::BytesReclaimed { bytes });
-    }
-    bytes
-}
-
-/// The correctly-shaped error answer for a request whose dispatch
-/// panicked: every `Err` response serializes as the bare 4-byte code, so
-/// matching the request's response *kind* keeps the client's decoder in
-/// sync while it learns the session is dead.
-pub(crate) fn panic_response(req: &Request) -> Response {
-    let err = CudaError::LaunchFailure;
-    match req {
-        Request::Malloc { .. } => Response::Malloc(Err(err)),
-        Request::Memcpy {
-            kind: MemcpyKind::DeviceToHost,
-            ..
-        }
-        | Request::MemcpyAsync {
-            kind: MemcpyKind::DeviceToHost,
-            ..
-        } => Response::MemcpyToHost(Err(err)),
-        Request::DeviceProps => Response::DeviceProps(Err(err)),
-        Request::StreamCreate => Response::StreamCreate(Err(err)),
-        Request::EventCreate => Response::EventCreate(Err(err)),
-        Request::EventElapsed { .. } => Response::EventElapsed(Err(err)),
-        _ => Response::Ack(Err(err)),
-    }
-}
-
-/// Dispatch one request, reporting its service time as a [`ServerSpan`].
-/// With no observer installed this is exactly [`dispatch`]: no timestamps
-/// are taken.
-pub(crate) fn dispatch_observed(
-    ctx: &mut GpuContext,
-    req: &Request,
-    pool: Option<&BufferPool>,
-    clk: &SharedClock,
-    obs: &ObsHandle,
-) -> Option<Response> {
-    if !obs.is_enabled() {
-        return dispatch_pooled(ctx, req, pool);
-    }
-    let start = clk.now();
-    let resp = dispatch_pooled(ctx, req, pool);
-    obs.emit_server(&ServerSpan {
-        op: Op::Named(req.op_name()),
-        queue_wait: SimTime::ZERO,
-        start,
-        end: clk.now(),
-    });
-    resp
-}
-
-/// [`crate::dispatch::dispatch_batch`] with per-element [`ServerSpan`]s:
-/// each element's queue wait is the time it spent behind earlier elements
-/// of the same frame (measured from frame arrival to dispatch start).
-/// Also the batch path for an armed [`ChaosHook`] (fired per element).
-pub(crate) fn dispatch_batch_observed(
-    ctx: &mut GpuContext,
-    batch: &Batch,
-    pool: Option<&BufferPool>,
-    clk: &SharedClock,
-    obs: &ObsHandle,
-    chaos: &ChaosHook,
-) -> (BatchResponse, bool) {
-    let frame_at = clk.now();
-    let mut responses = Vec::with_capacity(batch.len());
-    let mut quit = false;
-    for req in batch.requests() {
-        if quit {
-            // Matches `dispatch_batch`: elements after a Quit are answered
-            // without executing, so they get no span either.
-            responses.push(Response::Ack(Err(CudaError::InvalidValue)));
-            continue;
-        }
-        chaos.fire(req);
-        let start = clk.now();
-        let resp = dispatch_pooled(ctx, req, pool);
-        obs.emit_server(&ServerSpan {
-            op: Op::Named(req.op_name()),
-            queue_wait: start.saturating_sub(frame_at),
-            start,
-            end: clk.now(),
-        });
-        match resp {
-            Some(resp) => responses.push(resp),
-            None => {
-                responses.push(Response::Ack(Ok(())));
-                quit = true;
-            }
-        }
-    }
-    (BatchResponse { responses }, quit)
+    machine.finish(&env).ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection ended before a session handshake completed",
+        )
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rcuda_core::time::{virtual_clock, wall_clock};
-    use rcuda_core::Clock as _;
+    use rcuda_core::{Clock as _, CudaError};
     use rcuda_gpu::module::build_module;
+    use rcuda_proto::codec::CAP_ALL;
     use rcuda_proto::ids::MemcpyKind;
+    use rcuda_proto::{Response, SessionHello};
     use rcuda_transport::channel_pair;
     use std::io::{Read, Write};
     use std::thread;

@@ -1,17 +1,30 @@
-//! Protocol fuzzing: whatever bytes a client throws at a worker after the
-//! handshake, the session must terminate (no hang, no panic) and the daemon
-//! side must come out clean.
+//! Protocol fuzzing: whatever bytes a client throws at the server — after
+//! the handshake or from byte 0, over the blocking driver or the reactor —
+//! the session must terminate (no hang, no panic) and the daemon side must
+//! come out clean.
 
 use proptest::prelude::*;
 use rcuda_core::time::wall_clock;
 use rcuda_gpu::module::build_module;
 use rcuda_gpu::GpuDevice;
 use rcuda_proto::Request;
-use rcuda_server::{serve_connection, ServerConfig};
+use rcuda_server::{serve_connection, RcudaDaemon, ServerConfig};
 use rcuda_transport::channel_pair;
 use std::io::{Read, Write};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// Poll `done` for up to ten seconds; `false` means the server hung.
+fn finishes(mut done: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        if Instant::now() >= deadline {
+            return false;
+        }
+        thread::sleep(Duration::from_millis(1));
+    }
+    true
+}
 
 fn handshake(client: &mut rcuda_transport::ChannelTransport) {
     let mut cc = [0u8; 8];
@@ -50,16 +63,38 @@ proptest! {
         drop(client); // hang up
 
         // The worker must finish promptly (bounded poll, no join-hang).
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while !worker.is_finished() {
-            prop_assert!(
-                std::time::Instant::now() < deadline,
-                "worker hung on garbage input"
-            );
-            thread::sleep(Duration::from_millis(1));
-        }
+        prop_assert!(finishes(|| worker.is_finished()), "worker hung on garbage input");
         let report = worker.join().expect("worker must not panic").unwrap();
         prop_assert!(!report.orderly_shutdown || garbage.is_empty());
+    }
+
+    /// Arbitrary garbage from byte 0 — in place of any handshake — ends the
+    /// connection on both drivers. The reactor's shard must survive it.
+    #[test]
+    fn garbage_from_byte_zero_terminates_cleanly(
+        garbage in proptest::collection::vec(any::<u8>(), 0..512)
+    ) {
+        let device = GpuDevice::tesla_c1060_functional();
+        let mut daemon = RcudaDaemon::builder()
+            .device(device.clone())
+            .bind("127.0.0.1:0")
+            .unwrap();
+        let (blocking, server_side) = channel_pair();
+        let worker = thread::spawn(move || {
+            serve_connection(server_side, &device, wall_clock(), &ServerConfig::default())
+        });
+        for mut client in [blocking, daemon.connect_in_process()] {
+            let mut cc = [0u8; 8];
+            client.read_exact(&mut cc).unwrap();
+            let _ = client.write_all(&garbage);
+            let _ = client.flush();
+        } // both clients hang up here
+
+        prop_assert!(finishes(|| worker.is_finished()), "worker hung on garbage input");
+        worker.join().expect("worker must not panic").ok();
+        prop_assert!(finishes(|| daemon.health().served == 1), "shard never closed the connection");
+        prop_assert_eq!(daemon.health().panics, 0);
+        daemon.shutdown();
     }
 
     /// Truncated *valid* requests (a real message cut mid-field) also

@@ -87,43 +87,13 @@ else
 fi
 test -s target/BENCH_compression.json || { echo "compression bench wrote no artifact" >&2; exit 1; }
 
+echo "== rcuda-perf smoke (BENCHMARK.json harness, exit status only) ==" >&2
+cargo run --release -q -p rcuda-perf -- --quick >/dev/null
+
 echo "== cargo fmt --check ==" >&2
 cargo fmt --all --check
 
 echo "== cargo clippy -D warnings ==" >&2
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "== cargo clippy -p rcuda-obs -D warnings ==" >&2
-cargo clippy -p rcuda-obs --all-targets -- -D warnings
-
-echo "== cargo clippy -p rcuda-server -D warnings ==" >&2
-cargo clippy -p rcuda-server --all-targets -- -D warnings
-
-echo "== cargo clippy -p rcuda-proto -D warnings ==" >&2
-cargo clippy -p rcuda-proto --all-targets -- -D warnings
-
-echo "== cargo clippy -p rcuda-transport -D warnings ==" >&2
-cargo clippy -p rcuda-transport --all-targets -- -D warnings
-
-echo "== cargo clippy -p rcuda-workloads -D warnings ==" >&2
-cargo clippy -p rcuda-workloads --all-targets -- -D warnings
-
-echo "== cargo clippy -p rcuda-broker -D warnings ==" >&2
-cargo clippy -p rcuda-broker --all-targets -- -D warnings
-
-echo "== cargo clippy -p lz4_flex -D warnings ==" >&2
-cargo clippy -p lz4_flex --all-targets -- -D warnings
-
-echo "== cargo clippy -p rcuda-netsim -D warnings ==" >&2
-cargo clippy -p rcuda-netsim --all-targets -- -D warnings
-
-echo "== cargo clippy -p rcuda-model -D warnings ==" >&2
-cargo clippy -p rcuda-model --all-targets -- -D warnings
-
-echo "== cargo clippy -p rcuda-client -D warnings ==" >&2
-cargo clippy -p rcuda-client --all-targets -- -D warnings
-
-echo "== cargo clippy -p rcuda-bench -D warnings ==" >&2
-cargo clippy -p rcuda-bench --all-targets -- -D warnings
 
 echo "All checks passed." >&2

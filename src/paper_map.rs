@@ -8,7 +8,7 @@
 //! | §III "first 32 bits identify the function" | [`crate::proto::FunctionId`], [`crate::proto::Request`] |
 //! | §III Table I message breakdown | [`crate::proto::sizes::OpKind`] (accounting), [`crate::proto::Request::wire_bytes`] (realization) |
 //! | §III Fig. 2, the seven execution phases | [`crate::api::run_matmul_bytes`], [`crate::api::run_fft_bytes`] |
-//! | §III per-execution server process + new GPU context | [`crate::server::serve_connection`] (one context per session), [`crate::gpu::GpuContext`] |
+//! | §III per-execution server process + new GPU context | one session engine, two I/O drivers: `rcuda_server`'s sans-IO `SessionMachine` (one [`crate::gpu::GpuContext`] per session) under the blocking [`crate::server::serve_connection`] (`Endpoint::Channel` / `Simulated`, mux sub-streams) and under the reactor shards of [`crate::server::RcudaDaemon`] (`Endpoint::Tcp` / `Broker`, `connect_in_process`) |
 //! | §IV-A GigaE characterization, `f(n) = 8.9n − 0.3` | [`crate::netsim::GigaEModel`] |
 //! | §IV-A 40GI characterization, `g(n) = 0.7n + 2.8` | [`crate::netsim::Ib40GModel`] |
 //! | §IV-A ping-pong methodology (avg 250 / min 100) | [`crate::netsim::PingPong`] |

@@ -25,6 +25,7 @@ use rcuda::session::{Endpoint, Session};
 use rcuda::transport::{TcpTransport, Transport};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 struct CountingAlloc;
 
@@ -53,6 +54,16 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::SeqCst)
 }
 
+/// `ALLOCATIONS` is process-global and the harness runs tests on parallel
+/// threads: each test holds this for its whole body, so no other test's
+/// set-up or warm-up allocates inside a measured window.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed sibling poisons the lock; its data is `()`.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Iterations that grow trace buffers and warm every pool class.
 const WARMUP: usize = 32;
 /// Iterations inside the counted window.
@@ -75,6 +86,7 @@ fn round_trip<T: Transport>(
 
 #[test]
 fn memcpy_round_trip_is_allocation_free_at_steady_state() {
+    let _serial = serial();
     let mut daemon = RcudaDaemon::builder()
         .device(GpuDevice::tesla_c1060_functional())
         .bind("127.0.0.1:0")
@@ -149,6 +161,7 @@ fn memcpy_round_trip_is_allocation_free_at_steady_state() {
 /// compressed round trip still touches the heap zero times per iteration.
 #[test]
 fn codec_memcpy_round_trip_is_allocation_free_at_steady_state() {
+    let _serial = serial();
     use rcuda::proto::CodecMode;
 
     let mut daemon = RcudaDaemon::builder()
@@ -217,6 +230,7 @@ fn codec_memcpy_round_trip_is_allocation_free_at_steady_state() {
 /// credit flow control, and the demux engine must all ride pooled buffers.
 #[test]
 fn muxed_memcpy_round_trip_is_allocation_free_at_steady_state() {
+    let _serial = serial();
     let mut daemon = RcudaDaemon::builder()
         .device(GpuDevice::tesla_c1060_functional())
         .bind("127.0.0.1:0")
