@@ -1,16 +1,18 @@
 //! Ablation studies of the design choices DESIGN.md calls out, reported in
-//! *simulated* time (wall-clock benching is meaningless for virtual-clock
-//! quantities, so this is a custom `harness = false` report, not Criterion).
+//! *simulated* time (wall-clock timing is meaningless for virtual-clock
+//! quantities, so this is a plain `harness = false` program that asserts).
 //!
 //! 1. **Nagle's algorithm** on/off (the paper disables it, §IV-A);
 //! 2. **context pre-initialization** on/off (§VI-B);
 //! 3. **synchronous vs asynchronous** transfers (paper future work);
-//! 4. **multi-client contention** on the server link (paper future work).
+//! 4. **multi-client contention** on the server link (paper future work);
+//! 5. **batched vs per-call submission**: pipelined FFT crosses the network
+//!    in fewer flushes (≥ 2× fewer at depth ≥ 4) and less simulated time.
 
-use rcuda_api::run_matmul_bytes;
+use rcuda_api::{run_fft_bytes, run_matmul_bytes, CudaRuntime};
 use rcuda_client::RemoteRuntime;
 use rcuda_core::time::virtual_clock;
-use rcuda_core::{CaseStudy, Clock as _, SimTime};
+use rcuda_core::{CaseStudy, Clock, SimTime};
 use rcuda_gpu::{GpuDevice, NullCostModel};
 use rcuda_netsim::{GigaEModel, NetworkId, NetworkModel, SharedLink};
 use rcuda_server::{serve_connection, ServerConfig};
@@ -28,29 +30,42 @@ fn main() {
     preinit_ablation();
     async_overlap_ablation();
     contention_ablation();
+    batching_ablation();
 }
 
-/// Simulated MM execution over a given GigaE variant and server config.
-fn simulated_mm(
-    m: u32,
+/// Run `body` against a phantom Tesla C1060 behind a simulated `net` at the
+/// given pipeline depth; returns (simulated time, client flush count).
+fn simulated(
     net: Arc<dyn NetworkModel>,
     config: ServerConfig,
-    device: Arc<GpuDevice>,
-) -> SimTime {
+    depth: usize,
+    body: impl FnOnce(&mut dyn CudaRuntime, &dyn Clock),
+) -> (SimTime, u64) {
     let clock = virtual_clock();
     let shared: rcuda_core::SharedClock = clock.clone();
     let (client_side, server_side) = sim_pair(net, shared.clone());
     let server_clock = shared.clone();
     let server = std::thread::spawn(move || {
+        let device = GpuDevice::tesla_c1060();
         let _ = serve_connection(server_side, &device, server_clock, &config);
     });
     let mut rt = RemoteRuntime::new(client_side, shared);
-    let bytes = vec![0u8; (m * m * 4) as usize];
-    run_matmul_bytes(&mut rt, &*clock, m, &bytes, &bytes).unwrap();
+    rt.set_pipeline_depth(depth).unwrap();
+    body(&mut rt, &*clock);
+    let flushes = rt.metrics().messages_sent;
     let t = clock.now();
     drop(rt);
     let _ = server.join();
-    t
+    (t, flushes)
+}
+
+/// Simulated MM execution over a given network and server config.
+fn simulated_mm(m: u32, net: Arc<dyn NetworkModel>, config: ServerConfig) -> SimTime {
+    let bytes = vec![0u8; (m * m * 4) as usize];
+    simulated(net, config, 0, |rt, clock| {
+        run_matmul_bytes(rt, clock, m, &bytes, &bytes).unwrap();
+    })
+    .0
 }
 
 fn phantom_cfg() -> ServerConfig {
@@ -64,18 +79,8 @@ fn phantom_cfg() -> ServerConfig {
 fn nagle_ablation() {
     println!("== Ablation 1: Nagle's algorithm (paper §IV-A disables it) ==");
     let m = 2048u32;
-    let off = simulated_mm(
-        m,
-        Arc::new(GigaEModel::new()),
-        phantom_cfg(),
-        GpuDevice::tesla_c1060(),
-    );
-    let on = simulated_mm(
-        m,
-        Arc::new(GigaEModel::with_nagle()),
-        phantom_cfg(),
-        GpuDevice::tesla_c1060(),
-    );
+    let off = simulated_mm(m, Arc::new(GigaEModel::new()), phantom_cfg());
+    let on = simulated_mm(m, Arc::new(GigaEModel::with_nagle()), phantom_cfg());
     println!(
         "  MM m={m} over GigaE, Nagle off: {:.1} ms",
         off.as_millis_f64()
@@ -95,23 +100,13 @@ fn nagle_ablation() {
 fn preinit_ablation() {
     println!("== Ablation 2: daemon context pre-initialization (paper §VI-B) ==");
     let m = 4096u32;
-    let warm = simulated_mm(
-        m,
-        Arc::from(NetworkId::Ib40G.model()),
-        phantom_cfg(),
-        GpuDevice::tesla_c1060(),
-    );
+    let warm = simulated_mm(m, Arc::from(NetworkId::Ib40G.model()), phantom_cfg());
     let cold_cfg = ServerConfig {
         preinitialize_context: false,
         phantom_memory: true,
         ..Default::default()
     };
-    let cold = simulated_mm(
-        m,
-        Arc::from(NetworkId::Ib40G.model()),
-        cold_cfg,
-        GpuDevice::tesla_c1060(),
-    );
+    let cold = simulated_mm(m, Arc::from(NetworkId::Ib40G.model()), cold_cfg);
     println!(
         "  MM m={m} over 40GI, warm context: {:.2} s",
         warm.as_secs_f64()
@@ -186,4 +181,42 @@ fn contention_ablation() {
     // Silence the "unused" device/cost-model imports when assertions are
     // compiled out.
     let _ = NullCostModel;
+}
+
+fn batching_ablation() {
+    println!("== Ablation 5: batched vs. per-call submission (FFT case study) ==");
+    let batch = 2048u32;
+    let input = vec![0u8; (batch * 512 * 8) as usize];
+    let fft = |depth: usize| {
+        simulated(
+            Arc::from(NetworkId::GigaE.model()),
+            phantom_cfg(),
+            depth,
+            |rt, clock| {
+                run_fft_bytes(rt, clock, batch, &input).unwrap();
+            },
+        )
+    };
+    let (t_sync, f_sync) = fft(0);
+    for depth in [2usize, 4, 8] {
+        let (t_pipe, f_pipe) = fft(depth);
+        println!(
+            "  FFT batch={batch} over GigaE, depth {depth}: {f_pipe} flushes \
+             ({f_sync} per-call), {:.2} ms vs {:.2} ms",
+            t_pipe.as_millis_f64(),
+            t_sync.as_millis_f64(),
+        );
+        assert!(
+            f_pipe < f_sync,
+            "pipelining must issue strictly fewer flushes"
+        );
+        if depth >= 4 {
+            assert!(
+                f_sync >= 2 * f_pipe,
+                "depth {depth}: expected ≥2× fewer flushes, got {f_pipe} vs {f_sync}"
+            );
+            assert!(t_pipe < t_sync, "fewer round trips must cost less time");
+        }
+    }
+    println!();
 }

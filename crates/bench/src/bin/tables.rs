@@ -6,16 +6,19 @@
 //! cargo run -p rcuda-bench --bin tables -- compare # paper-vs-ours report
 //! ```
 //!
-//! Artifacts: `table1 table2 table3 table4 table5 table5c table6 table6c
-//! fig3 fig4 fig5 fig6 pipeline compare`. Pass `--json` for
-//! machine-readable output.
+//! Artifacts: [`rcuda_bench::ARTIFACTS`], plus `workloads` — the §V
+//! closed-loop "workload × loop × measured/estimated/error" table at full
+//! size, by name only (it measures a live loopback daemon, so its numbers
+//! are wall-clock). Pass `--json` for machine-readable output.
 
 use rcuda_bench::compare::{full_report, render_markdown, summarize};
 use rcuda_bench::json::artifact_json;
 use rcuda_bench::phases::print_phase_profile;
 use rcuda_bench::printers::*;
+use rcuda_bench::ARTIFACTS;
 use rcuda_model::SimulatedTestbed;
 use rcuda_netsim::NetworkId;
+use rcuda_workloads::{run_suite, SuiteConfig};
 
 const SEED: u64 = 42;
 
@@ -28,32 +31,22 @@ fn main() {
         false
     };
     let wanted: Vec<&str> = if args.is_empty() {
-        vec![
-            "table1",
-            "table2",
-            "table3",
-            "table4",
-            "table5",
-            "table5c",
-            "table6",
-            "table6c",
-            "fig3",
-            "fig4",
-            "fig5",
-            "fig6",
-            "pipeline",
-            "phases",
-            "uncertainty",
-            "compare",
-        ]
+        ARTIFACTS.to_vec()
     } else {
         args.iter().map(|s| s.as_str()).collect()
     };
 
     let testbed = SimulatedTestbed::new();
+    // Not in `ARTIFACTS`: runs the full-size suite against a live loopback
+    // daemon.
+    let workloads = || run_suite(&SuiteConfig::bench(SEED)).expect("workload suite");
     for what in wanted {
         if json {
-            match artifact_json(what, &testbed) {
+            let doc = match what {
+                "workloads" => serde_json::to_string_pretty(&workloads().to_json()).ok(),
+                _ => artifact_json(what, &testbed),
+            };
+            match doc {
                 Some(s) => println!("{s}"),
                 None => {
                     eprintln!("unknown artifact `{what}`");
@@ -78,6 +71,7 @@ fn main() {
             "pipeline" => print_pipeline_table(4),
             "phases" => print_phase_profile(4096, 2048),
             "uncertainty" => print_uncertainty(0.01, 100),
+            "workloads" => workloads().table(),
             "compare" => {
                 let report = full_report(&testbed);
                 let summary = summarize(&report);

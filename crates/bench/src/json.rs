@@ -99,6 +99,15 @@ pub fn artifact_json(what: &str, testbed: &SimulatedTestbed) -> Option<String> {
                 "fft": grid(Family::Fft),
             })
         }
+        // Text-only artifacts: the rendered report, wrapped.
+        "phases" => json!({
+            "artifact": "phases",
+            "text": crate::phases::print_phase_profile(4096, 2048),
+        }),
+        "uncertainty" => json!({
+            "artifact": "uncertainty",
+            "text": crate::printers::print_uncertainty(0.01, 100),
+        }),
         "compare" => {
             let report = crate::compare::full_report(testbed);
             json!({
@@ -123,10 +132,7 @@ mod tests {
     #[test]
     fn every_artifact_emits_valid_json() {
         let tb = SimulatedTestbed::new();
-        for what in [
-            "table1", "table2", "table3", "table4", "table5", "table5c", "table6", "table6c",
-            "fig3", "fig4", "fig5", "fig6", "pipeline", "compare",
-        ] {
+        for what in crate::ARTIFACTS {
             let s = artifact_json(what, &tb).unwrap_or_else(|| panic!("missing {what}"));
             let v: serde_json::Value = serde_json::from_str(&s).expect(what);
             assert!(v.is_object(), "{what}");

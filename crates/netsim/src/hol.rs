@@ -12,7 +12,7 @@
 //! [`HolModel`] prices both regimes on any [`NetworkModel`] (including the
 //! workload suite's measurement-calibrated loopback link), and
 //! [`HolModel::improvement`] is the predicted single-stream/mux latency
-//! ratio that the `multiplex` bench and the HOL validation test check
+//! ratio that the HOL validation test (`tests/hol_validation.rs`) checks
 //! against measurement, the same way PR 7 validates the §V estimator.
 
 use rcuda_core::SimTime;

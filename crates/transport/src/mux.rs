@@ -6,7 +6,7 @@
 //! Bulk payloads are chopped into [`CHUNK`]-sized DATA frames at flush, so
 //! a 16 MiB memcpy on one stream serializes as 256 interleavable frames and
 //! a small control call on a sibling stream waits behind at most one chunk
-//! — the head-of-line-blocking fix measured by the `multiplex` bench.
+//! — the head-of-line-blocking fix `tests/hol_validation.rs` measures.
 //!
 //! ## Threading model
 //!

@@ -19,8 +19,9 @@
 //!
 //! Every row asserts `|estimated − measured| / measured` under a
 //! per-workload bound — tight for the deterministic simulation, generous
-//! for wall-clock TCP. [`SuiteReport::to_json`] is the `BENCH_workloads.json`
-//! artifact; [`SuiteReport::table`] is the paper-style summary table.
+//! for wall-clock TCP. [`SuiteReport::table`] is the paper-style summary
+//! table and [`SuiteReport::to_json`] its machine-readable form (`tables
+//! workloads [--json]`).
 
 use std::io;
 use std::net::SocketAddr;
@@ -51,8 +52,8 @@ const DAEMON_SHARDS: usize = 2;
 /// Suite configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SuiteConfig {
-    /// Shrink shapes and repetitions for CI (`RCUDA_WORKLOADS_FAST=1`).
-    /// Both transports still run — the artifact stays complete.
+    /// Shrink shapes and repetitions for CI. Both transports still run —
+    /// the report stays complete.
     pub fast: bool,
     /// Master seed for every workload's inputs and schedules.
     pub seed: u64,
@@ -77,14 +78,6 @@ impl SuiteConfig {
             fast: false,
             seed,
             reps: 3,
-        }
-    }
-
-    /// Bench mode unless `RCUDA_WORKLOADS_FAST=1` is set.
-    pub fn from_env(seed: u64) -> Self {
-        match std::env::var("RCUDA_WORKLOADS_FAST") {
-            Ok(v) if v == "1" || v.eq_ignore_ascii_case("true") => SuiteConfig::fast(seed),
-            _ => SuiteConfig::bench(seed),
         }
     }
 
@@ -208,7 +201,7 @@ impl SuiteReport {
         out
     }
 
-    /// The `BENCH_workloads.json` payload.
+    /// The report as JSON (`tables workloads --json`).
     pub fn to_json(&self) -> Value {
         json!({
             "suite": "rcuda-workloads",
@@ -313,16 +306,34 @@ fn measure_tcp_best(addr: SocketAddr, reps: usize, run: Driver) -> io::Result<Si
     Ok(best)
 }
 
-/// The marginal network share of `shape` on the calibrated loopback link,
-/// over the channel software baseline already inside a channel measurement.
-fn link_delta(
-    shape: &WorkloadShape,
-    loopback: &CalibratedLink,
-    channel: &CalibratedLink,
-) -> SimTime {
-    shape
-        .network_time(loopback)
-        .saturating_sub(shape.network_time(channel))
+/// Probe-ladder repetitions behind every link fit, independent of
+/// `SuiteConfig::reps`: at fast mode's 2, one loaded probe over-priced every
+/// TCP estimate built on it.
+const CALIBRATION_REPS: usize = 8;
+
+/// The calibrated loopback and channel links, fitted on the spot.
+struct Links {
+    loopback: CalibratedLink,
+    channel: CalibratedLink,
+}
+
+impl Links {
+    /// Each TCP row calibrates immediately before it measures, so estimate
+    /// and measurement see the same host load.
+    fn calibrate(addr: SocketAddr) -> io::Result<Links> {
+        Ok(Links {
+            loopback: calibrate_loopback(addr, CALIBRATION_REPS)?,
+            channel: calibrate_channel(CALIBRATION_REPS),
+        })
+    }
+
+    /// The marginal network share of `shape` on the loopback link, over the
+    /// channel software baseline already inside a channel measurement.
+    fn delta(&self, shape: &WorkloadShape) -> SimTime {
+        shape
+            .network_time(&self.loopback)
+            .saturating_sub(shape.network_time(&self.channel))
+    }
 }
 
 /// One cross-network sim validation row: measure on GigaE, extract the
@@ -345,10 +356,9 @@ fn tcp_row(
     bound: f64,
     addr: SocketAddr,
     reps: usize,
-    loopback: &CalibratedLink,
-    channel: &CalibratedLink,
     run: Driver,
 ) -> io::Result<ValidationRow> {
+    let links = Links::calibrate(addr)?;
     // Best-of-reps on the channel baseline too: the estimate should not
     // inherit one unlucky scheduler stall. The phase shape (call and byte
     // counts) is identical across reps, so any rep's rows serve.
@@ -357,7 +367,7 @@ fn tcp_row(
         baseline = baseline.min(measure_channel(run).0);
     }
     let shape = shape_from(workload, &phases);
-    let estimated = baseline + link_delta(&shape, loopback, channel);
+    let estimated = baseline + links.delta(&shape);
     let measured = measure_tcp_best(addr, reps, run)?;
     Ok(ValidationRow::new(
         workload,
@@ -412,10 +422,9 @@ fn traffic_tcp_row(
     bound: f64,
     addr: SocketAddr,
     reps: usize,
-    loopback: &CalibratedLink,
-    channel: &CalibratedLink,
 ) -> io::Result<ValidationRow> {
     let tenants = tenant_runs(cfg);
+    let links = Links::calibrate(addr)?;
 
     // Per-tenant sequential estimates from the channel baseline.
     let mut total_est = SimTime::ZERO;
@@ -426,7 +435,7 @@ fn traffic_tcp_row(
         };
         let (baseline, phases) = measure_channel(&run);
         let shape = shape_from("traffic", &phases);
-        let est = baseline + link_delta(&shape, loopback, channel);
+        let est = baseline + links.delta(&shape);
         total_est += est;
         max_est = max_est.max(est);
     }
@@ -525,34 +534,15 @@ pub fn run_suite(cfg: &SuiteConfig) -> io::Result<SuiteReport> {
         .shards(DAEMON_SHARDS)
         .bind("127.0.0.1:0")?;
     let addr = daemon.local_addr();
-    let loopback = calibrate_loopback(addr, cfg.reps.max(2))?;
-    let channel = calibrate_channel(cfg.reps.max(2));
     rows.push(tcp_row(
         "transformer",
         0.5 * slack,
         addr,
         cfg.reps,
-        &loopback,
-        &channel,
         &run_tf,
     )?);
-    rows.push(tcp_row(
-        "smallcalls",
-        0.5 * slack,
-        addr,
-        cfg.reps,
-        &loopback,
-        &channel,
-        &run_sc,
-    )?);
-    rows.push(traffic_tcp_row(
-        &traffic_cfg,
-        0.75 * slack,
-        addr,
-        cfg.reps,
-        &loopback,
-        &channel,
-    )?);
+    rows.push(tcp_row("smallcalls", 0.5 * slack, addr, cfg.reps, &run_sc)?);
+    rows.push(traffic_tcp_row(&traffic_cfg, 0.75 * slack, addr, cfg.reps)?);
     daemon.shutdown();
 
     Ok(SuiteReport {

@@ -6,8 +6,8 @@
 //! latency under a concurrent bulk transfer — the queueing delay a call
 //! experiences at the transport layer. The measured median is the
 //! matching statistic; the p99 additionally absorbs host-scheduler
-//! tails that no network model sees (and is gated at ≥ 5× by the
-//! `multiplex` bench artifact in `scripts/check.sh`). Improvement
+//! tails that no network model sees (the live trunk's tail is
+//! `call_tail_us @ trunk_mixed` in `rcuda-perf`). Improvement
 //! ratios span two orders of magnitude, so the error is bounded in log
 //! space: `|ln(predicted) − ln(measured)| / ln(measured)`, against the
 //! loosest PR-7 live-TCP bound (0.75).
@@ -27,7 +27,8 @@ use std::time::{Duration, Instant};
 const BULK: usize = 16 << 20;
 /// Small-call samples per arm — enough for a stable median.
 const ITERS: usize = 64;
-/// Pause between successive bulk transfers (see `benches/multiplex.rs`).
+/// Pause between successive bulk transfers — the scenario is a small call
+/// racing one in-flight 16 MiB transfer, not a permanently saturated trunk.
 const BULK_GAP: Duration = Duration::from_millis(1);
 /// Loosest PR-7 live-TCP relative-error bound, applied in log space.
 const LOG_REL_ERROR_BOUND: f64 = 0.75;
@@ -151,6 +152,7 @@ fn hol_model_predicts_measured_improvement_within_pr7_bounds() {
     );
 
     let rel = (predicted.ln() - measured.ln()).abs() / measured.ln();
+    println!("HOL: predicted {predicted:.1}×, measured {measured:.1}×, log-space error {rel:.2}");
     assert!(
         rel <= LOG_REL_ERROR_BOUND,
         "HOL model off by {rel:.2} in log space (predicted {predicted:.1}×, \
