@@ -24,7 +24,6 @@
 //! honest — a truncated one could only replay a context that diverges
 //! from the real session silently.
 
-use rcuda_proto::ids::MemcpyKind;
 use rcuda_proto::{Payload, Request, Response};
 
 /// What the original daemon answered to a journaled call — verified
@@ -109,37 +108,17 @@ impl FailoverJournal {
     /// reads (D2H copies, queries) and synchronization don't shape the
     /// context, so they are not replayed; failed calls changed nothing.
     pub(crate) fn observe(&mut self, req: &Request, resp: &Response) {
-        if self.overflowed {
+        if self.overflowed || !req.journaled() {
             return;
         }
-        let entry = match (req, resp) {
-            (Request::Malloc { .. }, Response::Malloc(Ok(p))) => {
-                Some((req.clone(), Expect::Ptr(p.addr())))
-            }
-            (Request::StreamCreate, Response::StreamCreate(Ok(h))) => {
-                Some((req.clone(), Expect::Stream(*h)))
-            }
-            (Request::EventCreate, Response::EventCreate(Ok(h))) => {
-                Some((req.clone(), Expect::Event(*h)))
-            }
-            (
-                Request::Free { .. }
-                | Request::Memset { .. }
-                | Request::Launch { .. }
-                | Request::StreamDestroy { .. }
-                | Request::EventRecord { .. }
-                | Request::EventDestroy { .. },
-                Response::Ack(Ok(())),
-            ) => Some((req.clone(), Expect::Ack)),
-            (
-                Request::Memcpy { kind, .. } | Request::MemcpyAsync { kind, .. },
-                Response::Ack(Ok(())),
-            ) if writes_device(*kind) => Some((own_payload(req.clone()), Expect::Ack)),
-            _ => None,
+        let expect = match resp {
+            Response::Ack(Ok(())) => Expect::Ack,
+            Response::Malloc(Ok(p)) => Expect::Ptr(p.addr()),
+            Response::StreamCreate(Ok(h)) => Expect::Stream(*h),
+            Response::EventCreate(Ok(h)) => Expect::Event(*h),
+            _ => return,
         };
-        if let Some((req, expect)) = entry {
-            self.push(req, expect);
-        }
+        self.push(own_payload(req.clone()), expect);
     }
 
     /// Record an exchange that bypassed [`Request`] marshalling (the
@@ -164,51 +143,24 @@ impl FailoverJournal {
     }
 }
 
-/// Memcpy kinds whose replay re-shapes device contents.
-fn writes_device(kind: MemcpyKind) -> bool {
-    matches!(kind, MemcpyKind::HostToDevice | MemcpyKind::DeviceToDevice)
-}
-
 /// Detach a journaled request from the buffer pool: a pooled payload held
 /// for the journal's lifetime would pin its recycled buffer forever.
-fn own_payload(req: Request) -> Request {
-    match req {
-        Request::Memcpy {
-            dst,
-            src,
-            size,
-            kind,
-            data: Some(Payload::Pooled(buf)),
-        } => Request::Memcpy {
-            dst,
-            src,
-            size,
-            kind,
-            data: Some(Payload::Owned(buf.to_vec())),
-        },
-        Request::MemcpyAsync {
-            dst,
-            src,
-            size,
-            kind,
-            stream,
-            data: Some(Payload::Pooled(buf)),
-        } => Request::MemcpyAsync {
-            dst,
-            src,
-            size,
-            kind,
-            stream,
-            data: Some(Payload::Owned(buf.to_vec())),
-        },
-        other => other,
+fn own_payload(mut req: Request) -> Request {
+    if let Request::Memcpy { data: Some(d), .. } | Request::MemcpyAsync { data: Some(d), .. } =
+        &mut req
+    {
+        if let Payload::Pooled(buf) = d {
+            *d = Payload::Owned(buf.to_vec());
+        }
     }
+    req
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rcuda_core::{CudaError, DevicePtr};
+    use rcuda_proto::ids::MemcpyKind;
 
     fn h2d(size: u32) -> Request {
         Request::Memcpy {

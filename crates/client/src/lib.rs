@@ -12,6 +12,8 @@
 //! methodology: "we analyze the traces of two different case studies over
 //! two different networks" (§I).
 
+#![warn(unreachable_pub)]
+
 pub mod error;
 pub(crate) mod failover;
 pub mod retry;

@@ -73,33 +73,10 @@ impl RetryPolicy {
     }
 }
 
-/// Whether `req` may be transparently replayed after a reconnect.
+/// Whether `req` may be transparently replayed after a reconnect (the call
+/// table's `replay` column).
 pub fn is_idempotent(req: &Request) -> bool {
-    match req {
-        // Pure reads.
-        Request::DeviceProps => true,
-        // All memcpy kinds: H2D/memset write absolute bytes to an owned
-        // allocation, D2H/D2D read or re-copy the same source.
-        Request::Memcpy { .. } | Request::MemcpyAsync { .. } | Request::Memset { .. } => true,
-        // Waiting twice is waiting once.
-        Request::ThreadSynchronize
-        | Request::StreamSynchronize { .. }
-        | Request::EventSynchronize { .. }
-        | Request::EventElapsed { .. } => true,
-        // The module upload is replayed in full by re-initialization.
-        Request::Init { .. } => true,
-        // State-changing: a replay double-allocates, double-frees,
-        // double-launches, or re-stamps an event.
-        Request::Malloc { .. }
-        | Request::Free { .. }
-        | Request::Launch { .. }
-        | Request::StreamCreate
-        | Request::StreamDestroy { .. }
-        | Request::EventCreate
-        | Request::EventRecord { .. }
-        | Request::EventDestroy { .. }
-        | Request::Quit => false,
-    }
+    req.replayable()
 }
 
 /// A batch is replayable only if every element is.

@@ -663,7 +663,7 @@ impl<T: Transport> RemoteRuntime<T> {
     /// a backed-off reconnect (when retries are configured); non-idempotent
     /// ones surface the fault immediately — a replayed `cudaMalloc` or
     /// `cudaLaunch` could double-execute.
-    fn call(&mut self, op: &'static str, req: Request) -> CudaResult<Response> {
+    fn call(&mut self, req: Request) -> CudaResult<Response> {
         if !self.window.is_empty() {
             let mut requests = std::mem::take(&mut self.window);
             requests.push(req);
@@ -674,6 +674,7 @@ impl<T: Transport> RemoteRuntime<T> {
             first_failure(&resp.responses)?;
             return Ok(last);
         }
+        let op = Op::Named(req.op_name());
         let started = Instant::now();
         let replayable = is_idempotent(&req);
         let start = self.clock.now();
@@ -686,7 +687,7 @@ impl<T: Transport> RemoteRuntime<T> {
                     if !self.may_retry(attempt, replayable, e) {
                         return Err(self.surface(replayable, e));
                     }
-                    self.obs.emit_retry(Op::Named(op), attempt);
+                    self.obs.emit_retry(op, attempt);
                     self.recover(attempt, e)?;
                     attempt += 1;
                 }
@@ -696,7 +697,7 @@ impl<T: Transport> RemoteRuntime<T> {
         let end = self.clock.now();
         let received = resp.wire_bytes();
         self.trace.record(CallEvent {
-            op: Op::Named(op),
+            op,
             sent,
             received,
             start,
@@ -705,7 +706,7 @@ impl<T: Transport> RemoteRuntime<T> {
         self.calls += 1;
         self.retries_total += attempt as u64;
         self.obs.emit_call(&CallSpan {
-            op: Op::Named(op),
+            op,
             bytes_sent: sent,
             bytes_received: received,
             start,
@@ -764,7 +765,7 @@ impl<T: Transport> RemoteRuntime<T> {
     /// [`call`]: RemoteRuntime::call
     fn exchange_borrowed(
         &mut self,
-        op: &'static str,
+        op: Op,
         head: &[u8],
         body: &[u8],
         mut into: Option<&mut [u8]>,
@@ -780,7 +781,7 @@ impl<T: Transport> RemoteRuntime<T> {
                     if !self.may_retry(attempt, true, e) {
                         return Err(e);
                     }
-                    self.obs.emit_retry(Op::Named(op), attempt);
+                    self.obs.emit_retry(op, attempt);
                     self.recover(attempt, e)?;
                     attempt += 1;
                 }
@@ -801,7 +802,7 @@ impl<T: Transport> RemoteRuntime<T> {
             }
         }
         self.trace.record(CallEvent {
-            op: Op::Named(op),
+            op,
             sent,
             received,
             start,
@@ -810,7 +811,7 @@ impl<T: Transport> RemoteRuntime<T> {
         self.calls += 1;
         self.retries_total += attempt as u64;
         self.obs.emit_call(&CallSpan {
-            op: Op::Named(op),
+            op,
             bytes_sent: sent,
             bytes_received: received,
             start,
@@ -824,12 +825,7 @@ impl<T: Transport> RemoteRuntime<T> {
     /// encoded through the codec (pooled scratch, no allocation) and the
     /// 4-byte `enc_len` word joins the stack-built head; a legacy session
     /// passes the caller's slices through untouched.
-    fn exchange_borrowed_h2d(
-        &mut self,
-        op: &'static str,
-        head: &[u8],
-        data: &[u8],
-    ) -> CudaResult<()> {
+    fn exchange_borrowed_h2d(&mut self, op: Op, head: &[u8], data: &[u8]) -> CudaResult<()> {
         if !self.codec_active {
             return self.exchange_borrowed(op, head, data, None);
         }
@@ -848,9 +844,9 @@ impl<T: Transport> RemoteRuntime<T> {
     /// Submit a no-result call. With pipelining off this is a synchronous
     /// round trip; with pipelining on it joins the window and completes
     /// immediately, draining when the window fills.
-    fn defer(&mut self, op: &'static str, req: Request) -> CudaResult<()> {
+    fn defer(&mut self, req: Request) -> CudaResult<()> {
         if self.pipeline_depth == 0 {
-            return self.call(op, req)?.into_ack();
+            return self.call(req)?.into_ack();
         }
         self.window.push(req);
         if self.window.len() >= self.pipeline_depth {
@@ -875,6 +871,12 @@ fn first_failure(responses: &[Response]) -> CudaResult<()> {
         resp.status()?;
     }
     Ok(())
+}
+
+/// The call table's label for a borrowed memcpy exchange, which builds no
+/// [`Request`] to ask.
+fn borrowed_op(id: FunctionId, kind: MemcpyKind) -> Op {
+    Op::Named(id.label(kind).expect("memcpy rows are call rows"))
 }
 
 /// The fixed 20-byte header of a `Memcpy` request, laid out exactly as
@@ -985,7 +987,7 @@ impl<T: Transport> CudaRuntime for RemoteRuntime<T> {
                     if !(retryable && attempt < self.retry.max_retries) {
                         return Err(e);
                     }
-                    self.obs.emit_retry(Op::Named("initialization"), attempt);
+                    self.obs.emit_retry(Op::Named(Request::INIT_LABEL), attempt);
                     let backoff = self.backoff_with_busy_hint(attempt);
                     std::thread::sleep(backoff);
                     self.transport.reconnect().map_err(|_| e)?;
@@ -995,7 +997,7 @@ impl<T: Transport> CudaRuntime for RemoteRuntime<T> {
         };
         let end = self.clock.now();
         self.trace.record(CallEvent {
-            op: Op::Named("initialization"),
+            op: Op::Named(Request::INIT_LABEL),
             sent,
             received,
             start,
@@ -1004,7 +1006,7 @@ impl<T: Transport> CudaRuntime for RemoteRuntime<T> {
         self.calls += 1;
         self.retries_total += attempt as u64;
         self.obs.emit_call(&CallSpan {
-            op: Op::Named("initialization"),
+            op: Op::Named(Request::INIT_LABEL),
             bytes_sent: sent,
             bytes_received: received,
             start,
@@ -1020,7 +1022,7 @@ impl<T: Transport> CudaRuntime for RemoteRuntime<T> {
 
     fn device_properties(&mut self) -> CudaResult<DeviceProperties> {
         self.ensure_initialized()?;
-        let resp = self.call("cudaGetDeviceProperties", Request::DeviceProps)?;
+        let resp = self.call(Request::DeviceProps)?;
         match resp {
             Response::DeviceProps(Ok(blob)) => {
                 serde_json::from_slice(&blob).map_err(|_| CudaError::Unknown)
@@ -1032,13 +1034,12 @@ impl<T: Transport> CudaRuntime for RemoteRuntime<T> {
 
     fn malloc(&mut self, size: u32) -> CudaResult<DevicePtr> {
         self.ensure_initialized()?;
-        self.call("cudaMalloc", Request::Malloc { size })?
-            .into_malloc()
+        self.call(Request::Malloc { size })?.into_malloc()
     }
 
     fn free(&mut self, ptr: DevicePtr) -> CudaResult<()> {
         self.ensure_initialized()?;
-        self.defer("cudaFree", Request::Free { ptr })
+        self.defer(Request::Free { ptr })
     }
 
     fn memcpy_h2d(&mut self, dst: DevicePtr, data: &[u8]) -> CudaResult<()> {
@@ -1050,7 +1051,11 @@ impl<T: Transport> CudaRuntime for RemoteRuntime<T> {
         // so it stages one copy in a pooled buffer.
         if self.pipeline_depth == 0 && self.window.is_empty() {
             let head = memcpy_head(dst.addr(), 0, data.len() as u32, MemcpyKind::HostToDevice);
-            self.exchange_borrowed_h2d("cudaMemcpyH2D", &head, data)?;
+            self.exchange_borrowed_h2d(
+                borrowed_op(FunctionId::Memcpy, MemcpyKind::HostToDevice),
+                &head,
+                data,
+            )?;
             self.journal_borrowed_h2d(dst, data, None);
             return Ok(());
         }
@@ -1061,7 +1066,7 @@ impl<T: Transport> CudaRuntime for RemoteRuntime<T> {
             kind: MemcpyKind::HostToDevice,
             data: Some(Payload::Pooled(self.pool.copy_from(data))),
         };
-        self.defer("cudaMemcpyH2D", req)
+        self.defer(req)
     }
 
     fn memcpy_d2h_into(&mut self, src: DevicePtr, buf: &mut [u8]) -> CudaResult<()> {
@@ -1071,7 +1076,12 @@ impl<T: Transport> CudaRuntime for RemoteRuntime<T> {
         // the reply payload lands straight in the caller's buffer.
         self.flush_pipeline()?;
         let head = memcpy_head(0, src.addr(), buf.len() as u32, MemcpyKind::DeviceToHost);
-        self.exchange_borrowed("cudaMemcpyD2H", &head, &[], Some(buf))
+        self.exchange_borrowed(
+            borrowed_op(FunctionId::Memcpy, MemcpyKind::DeviceToHost),
+            &head,
+            &[],
+            Some(buf),
+        )
     }
 
     fn memcpy_d2h(&mut self, src: DevicePtr, size: u32) -> CudaResult<Vec<u8>> {
@@ -1083,7 +1093,7 @@ impl<T: Transport> CudaRuntime for RemoteRuntime<T> {
             kind: MemcpyKind::DeviceToHost,
             data: None,
         };
-        self.call("cudaMemcpyD2H", req)?.into_memcpy_to_host()
+        self.call(req)?.into_memcpy_to_host()
     }
 
     fn memcpy_d2d(&mut self, dst: DevicePtr, src: DevicePtr, size: u32) -> CudaResult<()> {
@@ -1095,7 +1105,7 @@ impl<T: Transport> CudaRuntime for RemoteRuntime<T> {
             kind: MemcpyKind::DeviceToDevice,
             data: None,
         };
-        self.call("cudaMemcpyD2D", req)?.into_ack()
+        self.call(req)?.into_ack()
     }
 
     fn memset(&mut self, dst: DevicePtr, value: u8, size: u32) -> CudaResult<()> {
@@ -1105,7 +1115,7 @@ impl<T: Transport> CudaRuntime for RemoteRuntime<T> {
             value: value as u32,
             size,
         };
-        self.defer("cudaMemset", req)
+        self.defer(req)
     }
 
     fn launch(
@@ -1128,19 +1138,19 @@ impl<T: Transport> CudaRuntime for RemoteRuntime<T> {
             stream,
         };
         let req = Request::launch_pooled(kernel, args, config, &self.pool);
-        self.defer("cudaLaunch", req)
+        self.defer(req)
     }
 
     fn thread_synchronize(&mut self) -> CudaResult<()> {
         self.ensure_initialized()?;
-        self.defer("cudaThreadSynchronize", Request::ThreadSynchronize)
+        self.defer(Request::ThreadSynchronize)
     }
 
     fn finalize(&mut self) -> CudaResult<()> {
         if !self.initialized {
             return Ok(());
         }
-        self.call("finalization", Request::Quit)?.into_ack()?;
+        self.call(Request::Quit)?.into_ack()?;
         self.initialized = false;
         Ok(())
     }
@@ -1149,7 +1159,7 @@ impl<T: Transport> CudaRuntime for RemoteRuntime<T> {
 impl<T: Transport> CudaRuntimeAsyncExt for RemoteRuntime<T> {
     fn stream_create(&mut self) -> CudaResult<u32> {
         self.ensure_initialized()?;
-        match self.call("cudaStreamCreate", Request::StreamCreate)? {
+        match self.call(Request::StreamCreate)? {
             Response::StreamCreate(r) => r,
             _ => Err(CudaError::Unknown),
         }
@@ -1157,17 +1167,12 @@ impl<T: Transport> CudaRuntimeAsyncExt for RemoteRuntime<T> {
 
     fn stream_synchronize(&mut self, stream: u32) -> CudaResult<()> {
         self.ensure_initialized()?;
-        self.call(
-            "cudaStreamSynchronize",
-            Request::StreamSynchronize { stream },
-        )?
-        .into_ack()
+        self.call(Request::StreamSynchronize { stream })?.into_ack()
     }
 
     fn stream_destroy(&mut self, stream: u32) -> CudaResult<()> {
         self.ensure_initialized()?;
-        self.call("cudaStreamDestroy", Request::StreamDestroy { stream })?
-            .into_ack()
+        self.call(Request::StreamDestroy { stream })?.into_ack()
     }
 
     fn memcpy_h2d_async(&mut self, dst: DevicePtr, data: &[u8], stream: u32) -> CudaResult<()> {
@@ -1183,7 +1188,11 @@ impl<T: Transport> CudaRuntimeAsyncExt for RemoteRuntime<T> {
                 MemcpyKind::HostToDevice,
                 stream,
             );
-            self.exchange_borrowed_h2d("cudaMemcpyAsyncH2D", &head, data)?;
+            self.exchange_borrowed_h2d(
+                borrowed_op(FunctionId::MemcpyAsync, MemcpyKind::HostToDevice),
+                &head,
+                data,
+            )?;
             self.journal_borrowed_h2d(dst, data, Some(stream));
             return Ok(());
         }
@@ -1195,7 +1204,7 @@ impl<T: Transport> CudaRuntimeAsyncExt for RemoteRuntime<T> {
             stream,
             data: Some(Payload::Pooled(self.pool.copy_from(data))),
         };
-        self.call("cudaMemcpyAsyncH2D", req)?.into_ack()
+        self.call(req)?.into_ack()
     }
 
     fn memcpy_d2h_async(&mut self, src: DevicePtr, size: u32, stream: u32) -> CudaResult<Vec<u8>> {
@@ -1208,7 +1217,7 @@ impl<T: Transport> CudaRuntimeAsyncExt for RemoteRuntime<T> {
             stream,
             data: None,
         };
-        self.call("cudaMemcpyAsyncD2H", req)?.into_memcpy_to_host()
+        self.call(req)?.into_memcpy_to_host()
     }
 
     fn memcpy_d2h_async_into(
@@ -1226,12 +1235,17 @@ impl<T: Transport> CudaRuntimeAsyncExt for RemoteRuntime<T> {
             MemcpyKind::DeviceToHost,
             stream,
         );
-        self.exchange_borrowed("cudaMemcpyAsyncD2H", &head, &[], Some(buf))
+        self.exchange_borrowed(
+            borrowed_op(FunctionId::MemcpyAsync, MemcpyKind::DeviceToHost),
+            &head,
+            &[],
+            Some(buf),
+        )
     }
 
     fn event_create(&mut self) -> CudaResult<u32> {
         self.ensure_initialized()?;
-        match self.call("cudaEventCreate", Request::EventCreate)? {
+        match self.call(Request::EventCreate)? {
             Response::EventCreate(r) => r,
             _ => Err(CudaError::Unknown),
         }
@@ -1239,19 +1253,18 @@ impl<T: Transport> CudaRuntimeAsyncExt for RemoteRuntime<T> {
 
     fn event_record(&mut self, event: u32, stream: u32) -> CudaResult<()> {
         self.ensure_initialized()?;
-        self.call("cudaEventRecord", Request::EventRecord { event, stream })?
+        self.call(Request::EventRecord { event, stream })?
             .into_ack()
     }
 
     fn event_synchronize(&mut self, event: u32) -> CudaResult<()> {
         self.ensure_initialized()?;
-        self.call("cudaEventSynchronize", Request::EventSynchronize { event })?
-            .into_ack()
+        self.call(Request::EventSynchronize { event })?.into_ack()
     }
 
     fn event_elapsed_ms(&mut self, start: u32, end: u32) -> CudaResult<f32> {
         self.ensure_initialized()?;
-        match self.call("cudaEventElapsedTime", Request::EventElapsed { start, end })? {
+        match self.call(Request::EventElapsed { start, end })? {
             Response::EventElapsed(r) => r,
             _ => Err(CudaError::Unknown),
         }
@@ -1259,8 +1272,7 @@ impl<T: Transport> CudaRuntimeAsyncExt for RemoteRuntime<T> {
 
     fn event_destroy(&mut self, event: u32) -> CudaResult<()> {
         self.ensure_initialized()?;
-        self.call("cudaEventDestroy", Request::EventDestroy { event })?
-            .into_ack()
+        self.call(Request::EventDestroy { event })?.into_ack()
     }
 }
 

@@ -7,6 +7,7 @@
 
 use rcuda_core::SimTime;
 use rcuda_obs::Op;
+use rcuda_proto::ids::{FunctionId, MemcpyKind};
 use serde::{Deserialize, Serialize};
 
 /// One remote API call.
@@ -34,14 +35,22 @@ impl CallEvent {
     /// Application payload moved by this call, if it is a bulk memcpy
     /// (header bytes excluded): `x` of Table I.
     pub fn bulk_payload(&self) -> u64 {
-        match self.op.as_named() {
-            // Request carries 20 header bytes + payload.
-            Some("cudaMemcpyH2D" | "cudaMemcpyAsyncH2D") => self.sent.saturating_sub(20),
-            // Response carries 4 status bytes + payload (async adds a
-            // stream field to the request, not the response).
-            Some("cudaMemcpyD2H" | "cudaMemcpyAsyncD2H") => self.received.saturating_sub(4),
-            _ => 0,
+        let Some(name) = self.op.as_named() else {
+            return 0;
+        };
+        for id in [FunctionId::Memcpy, FunctionId::MemcpyAsync] {
+            // The request carries the selector and fixed fields, then the
+            // payload (async adds a stream field to the request only).
+            if id.label(MemcpyKind::HostToDevice) == Some(name) {
+                let head = 4 + id.body().map_or(0, |b| b.fixed);
+                return self.sent.saturating_sub(head.into());
+            }
+            // The response carries 4 status bytes, then the payload.
+            if id.label(MemcpyKind::DeviceToHost) == Some(name) {
+                return self.received.saturating_sub(4);
+            }
         }
+        0
     }
 }
 
@@ -132,6 +141,14 @@ mod tests {
         t.record(ev("cudaMemcpyH2D", 1024 + 20, 4, 1, 2));
         t.record(ev("cudaMemcpyD2H", 20, 2048 + 4, 2, 3));
         t.record(ev("cudaLaunch", 52, 4, 3, 4));
+        assert_eq!(t.bulk_payload(), 1024 + 2048);
+    }
+
+    #[test]
+    fn async_copies_count_their_payload_without_the_stream_field() {
+        let mut t = Trace::new();
+        t.record(ev("cudaMemcpyAsyncH2D", 1024 + 24, 4, 0, 1));
+        t.record(ev("cudaMemcpyAsyncD2H", 24, 2048 + 4, 1, 2));
         assert_eq!(t.bulk_payload(), 1024 + 2048);
     }
 

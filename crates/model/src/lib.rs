@@ -37,7 +37,6 @@ pub mod montecarlo;
 pub mod overlap;
 pub mod paperdata;
 pub mod pipeline;
-pub mod placement;
 pub mod render;
 pub mod tables;
 pub mod testbed;
@@ -53,10 +52,6 @@ pub use estimate::{
 pub use montecarlo::{default_error_bar, error_bar, Distribution, ErrorBar};
 pub use overlap::{estimate_async, overlap_benefit};
 pub use pipeline::{estimate_pipelined, estimate_pipelined_with, PipelineEstimate};
-pub use placement::{
-    compare_strategies, predict_placement, random_max_load_bound, PlacementForecast,
-    PlacementStrategy,
-};
 pub use testbed::SimulatedTestbed;
 pub use workloads::{
     closed_loop_wait, estimate_workload, fixed_time_workload, open_loop_wait, PhaseKind,

@@ -24,6 +24,8 @@
 //! shared virtual clock is the only time source), so exports can be
 //! golden-filed byte-for-byte.
 
+#![warn(unreachable_pub)]
+
 pub mod chrome;
 pub mod event;
 pub mod hist;

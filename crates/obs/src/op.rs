@@ -7,33 +7,29 @@
 //! beyond the struct copy.
 
 use serde::{Content, Deserialize, Error, Serialize};
+use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Mutex;
 
-/// The operation names the client runtime emits. Deserialization interns
-/// against this table so round-tripped traces stay allocation-free too.
-static KNOWN_OPS: &[&str] = &[
-    "initialization",
-    "finalization",
-    "cudaGetDeviceProperties",
-    "cudaMalloc",
-    "cudaFree",
-    "cudaMemcpyH2D",
-    "cudaMemcpyD2H",
-    "cudaMemcpyD2D",
-    "cudaMemset",
-    "cudaLaunch",
-    "cudaThreadSynchronize",
-    "cudaStreamCreate",
-    "cudaStreamSynchronize",
-    "cudaStreamDestroy",
-    "cudaMemcpyAsyncH2D",
-    "cudaMemcpyAsyncD2H",
-    "cudaEventCreate",
-    "cudaEventRecord",
-    "cudaEventSynchronize",
-    "cudaEventElapsedTime",
-    "cudaEventDestroy",
-];
+/// Deserialized names, leaked once each: a trace names a few dozen
+/// distinct operations however many events it holds. (The label table
+/// itself lives in `rcuda-proto`, which depends on this crate.)
+static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+
+/// The `'static` copy of `name`, leaking it the first time it is seen.
+fn intern(name: &str) -> &'static str {
+    // Every update is one insert, so a panic elsewhere cannot leave the set
+    // half-updated: a poisoned lock is safe to take over.
+    let mut interned = INTERNED.lock().unwrap_or_else(|e| e.into_inner());
+    match interned.get(name) {
+        Some(known) => known,
+        None => {
+            let leaked: &'static str = Box::leak(name.into());
+            interned.insert(leaked);
+            leaked
+        }
+    }
+}
 
 /// A call identifier: a named CUDA operation, a batched frame, or a
 /// workload-phase marker.
@@ -52,8 +48,8 @@ pub enum Op {
 
 impl Op {
     /// Parse a display form back into an [`Op`]. `batch[n]` becomes
-    /// [`Op::Batch`], `phase:name` becomes [`Op::Phase`]; known names intern
-    /// to their static string; unknown names are leaked once (trace
+    /// [`Op::Batch`], `phase:name` becomes [`Op::Phase`]; every name is
+    /// interned, so each distinct one is leaked once per process (trace
     /// deserialization is a cold path).
     pub fn parse(s: &str) -> Op {
         if let Some(n) = s
@@ -64,12 +60,9 @@ impl Op {
             return Op::Batch(n);
         }
         if let Some(name) = s.strip_prefix("phase:") {
-            return Op::Phase(Box::leak(name.to_string().into_boxed_str()));
+            return Op::Phase(intern(name));
         }
-        match KNOWN_OPS.iter().find(|k| **k == s) {
-            Some(k) => Op::Named(k),
-            None => Op::Named(Box::leak(s.to_string().into_boxed_str())),
-        }
+        Op::Named(intern(s))
     }
 
     /// The static name, for single operations.
@@ -183,13 +176,12 @@ mod tests {
     }
 
     #[test]
-    fn known_names_intern_to_the_static_table() {
-        let parsed = Op::parse("cudaMemcpyH2D");
-        match parsed {
-            Op::Named(name) => {
-                assert!(std::ptr::eq(name.as_ptr(), KNOWN_OPS[5].as_ptr()));
-            }
-            other => panic!("{other:?}"),
+    fn repeated_parses_share_one_interned_name() {
+        for label in ["cudaMemcpyH2H", "cudaMemcpyAsyncD2D", "phase:w", "custom"] {
+            let (a, b) = (Op::parse(label), Op::parse(label));
+            assert_eq!(a, b);
+            let (a, b) = (a.as_named().or(a.as_phase()), b.as_named().or(b.as_phase()));
+            assert!(std::ptr::eq(a.unwrap(), b.unwrap()), "{label} leaked twice");
         }
     }
 

@@ -24,7 +24,6 @@ use crate::batch::Frame;
 use crate::codec::{Codec, CodecHello};
 use crate::handshake::SessionHello;
 use crate::ids::{FunctionId, MemcpyKind};
-use crate::launch::LAUNCH_FIXED_BYTES;
 use crate::mux::MuxHello;
 use crate::payload::BufferPool;
 use crate::request::wire_carries_payload;
@@ -76,83 +75,32 @@ fn scan_request_at(buf: &[u8], off: usize, codec: bool) -> io::Result<Scan> {
     }
     let id = FunctionId::from_u32(u32_at(buf, off))
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    let fixed = LAUNCH_FIXED_BYTES as usize;
-    let scan = match id {
-        FunctionId::Batch => return Err(invalid("batch frames cannot appear inside a batch")),
-        FunctionId::Hello
-        | FunctionId::Reconnect
-        | FunctionId::MuxHello
-        | FunctionId::Migrate
-        | FunctionId::Codec => {
-            return Err(invalid(
-                "handshake selectors are only valid as the first post-connect message",
-            ))
+    let body = id.body().ok_or_else(|| id.misplaced())?;
+    let head = 4 + body.fixed as usize;
+    if !body.payload {
+        return Ok(sized(avail, head));
+    }
+    if avail < head {
+        return Ok(Scan::Need(head));
+    }
+    let payload = if id == FunctionId::Launch {
+        // The region length is the last fixed word.
+        u32_at(buf, off + head - 4) as usize
+    } else {
+        // Memcpy rows: dst, src, size, kind (, stream) — the payload
+        // follows only when the data flows client → server.
+        let kind = MemcpyKind::from_u32(u32_at(buf, off + 16))
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        if !wire_carries_payload(kind) {
+            return Ok(sized(avail, head));
         }
-        FunctionId::Busy => {
-            return Err(invalid(
-                "Busy is a server-to-client hello marker, never a request",
-            ))
-        }
-        FunctionId::ThreadSynchronize
-        | FunctionId::DeviceProps
-        | FunctionId::StreamCreate
-        | FunctionId::EventCreate
-        | FunctionId::Quit => Scan::Complete(4),
-        FunctionId::Malloc
-        | FunctionId::Free
-        | FunctionId::StreamSynchronize
-        | FunctionId::StreamDestroy
-        | FunctionId::EventSynchronize
-        | FunctionId::EventDestroy => fixed_body(avail, 4),
-        FunctionId::EventRecord | FunctionId::EventElapsed => fixed_body(avail, 8),
-        FunctionId::Memset => fixed_body(avail, 12),
-        FunctionId::Memcpy => {
-            // dst, src, size, kind — payload follows only when the data
-            // flows client → server.
-            if avail < 20 {
-                return Ok(Scan::Need(20));
-            }
-            let size = u32_at(buf, off + 12) as usize;
-            let kind = MemcpyKind::from_u32(u32_at(buf, off + 16))
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            if !wire_carries_payload(kind) {
-                sized(avail, 20)
-            } else if codec {
-                scan_block(buf, off, avail, 20, size)?
-            } else {
-                sized(avail, check_cap(20 + size)?)
-            }
-        }
-        FunctionId::MemcpyAsync => {
-            // dst, src, size, kind, stream — then the optional payload.
-            if avail < 24 {
-                return Ok(Scan::Need(24));
-            }
-            let size = u32_at(buf, off + 12) as usize;
-            let kind = MemcpyKind::from_u32(u32_at(buf, off + 16))
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            if !wire_carries_payload(kind) {
-                sized(avail, 24)
-            } else if codec {
-                scan_block(buf, off, avail, 24, size)?
-            } else {
-                sized(avail, check_cap(24 + size)?)
-            }
-        }
-        FunctionId::Launch => {
-            // selector + fixed config + region length + region.
-            if avail < 4 + fixed + 4 {
-                return Ok(Scan::Need(4 + fixed + 4));
-            }
-            let region_len = u32_at(buf, off + 4 + fixed) as usize;
-            if codec {
-                scan_block(buf, off, avail, 4 + fixed + 4, region_len)?
-            } else {
-                sized(avail, check_cap(4 + fixed + 4 + region_len)?)
-            }
-        }
+        u32_at(buf, off + 12) as usize
     };
-    Ok(scan)
+    if codec {
+        scan_block(buf, off, avail, head, payload)
+    } else {
+        Ok(sized(avail, check_cap(head + payload)?))
+    }
 }
 
 /// Scan a codec-framed payload block: a 4-byte `enc_len` word at
@@ -174,10 +122,6 @@ fn scan_block(
         return Err(invalid("codec block claims more encoded bytes than raw"));
     }
     Ok(sized(avail, check_cap(head + 4 + enc_len)?))
-}
-
-fn fixed_body(avail: usize, body: usize) -> Scan {
-    sized(avail, 4 + body)
 }
 
 fn sized(avail: usize, total: usize) -> Scan {
@@ -436,7 +380,7 @@ impl StreamDecoder {
 mod tests {
     use super::*;
     use crate::batch::Batch;
-    use crate::launch::LaunchConfig;
+    use crate::launch::{LaunchConfig, LAUNCH_FIXED_BYTES};
     use crate::request::Request;
     use rcuda_core::DevicePtr;
 

@@ -8,6 +8,10 @@
 //!
 //! This crate implements:
 //!
+//! * the call table ([`ids`]): one row per selector giving the call's
+//!   [`FunctionId`], [`Request`] variant, observability label, body bytes,
+//!   reply shape and retry/journal class — adding a call is one row there
+//!   plus its reader, writer and dispatch arms,
 //! * the exact field layouts of Table I ([`request`], [`response`]),
 //! * streaming encode/decode over any `Read`/`Write` pair ([`wire`]),
 //! * the message-size accounting that reproduces Table I ([`sizes`]),
@@ -34,6 +38,8 @@
 //! capability; the client then ships the GPU module (4-byte size + blob) and
 //! the server acknowledges with a 4-byte result code. Send `x+4`, receive
 //! `8 + 4 = 12` bytes — Table I's Initialization row.
+
+#![warn(unreachable_pub)]
 
 pub mod batch;
 pub mod broker;

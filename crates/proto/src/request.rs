@@ -151,68 +151,6 @@ impl Request {
             .ok_or(CudaError::InvalidValue)
     }
 
-    /// The function id this request carries on the wire (`None` for `Init`,
-    /// which is identified by protocol position, not by a selector).
-    pub fn function_id(&self) -> Option<FunctionId> {
-        Some(match self {
-            Request::Init { .. } => return None,
-            Request::Malloc { .. } => FunctionId::Malloc,
-            Request::Free { .. } => FunctionId::Free,
-            Request::Memcpy { .. } => FunctionId::Memcpy,
-            Request::Launch { .. } => FunctionId::Launch,
-            Request::ThreadSynchronize => FunctionId::ThreadSynchronize,
-            Request::DeviceProps => FunctionId::DeviceProps,
-            Request::StreamCreate => FunctionId::StreamCreate,
-            Request::StreamSynchronize { .. } => FunctionId::StreamSynchronize,
-            Request::StreamDestroy { .. } => FunctionId::StreamDestroy,
-            Request::MemcpyAsync { .. } => FunctionId::MemcpyAsync,
-            Request::Memset { .. } => FunctionId::Memset,
-            Request::EventCreate => FunctionId::EventCreate,
-            Request::EventRecord { .. } => FunctionId::EventRecord,
-            Request::EventSynchronize { .. } => FunctionId::EventSynchronize,
-            Request::EventElapsed { .. } => FunctionId::EventElapsed,
-            Request::EventDestroy { .. } => FunctionId::EventDestroy,
-            Request::Quit => FunctionId::Quit,
-        })
-    }
-
-    /// The observability label for this request — the same names the client
-    /// runtime stamps on its call spans, so client and server spans for one
-    /// call aggregate into the same group. Memcpy variants are split by
-    /// direction (their Table I byte accounting differs per direction).
-    pub fn op_name(&self) -> &'static str {
-        match self {
-            Request::Init { .. } => "initialization",
-            Request::Malloc { .. } => "cudaMalloc",
-            Request::Free { .. } => "cudaFree",
-            Request::Memcpy { kind, .. } => match kind {
-                MemcpyKind::HostToDevice => "cudaMemcpyH2D",
-                MemcpyKind::DeviceToHost => "cudaMemcpyD2H",
-                MemcpyKind::DeviceToDevice => "cudaMemcpyD2D",
-                MemcpyKind::HostToHost => "cudaMemcpyH2H",
-            },
-            Request::Launch { .. } => "cudaLaunch",
-            Request::ThreadSynchronize => "cudaThreadSynchronize",
-            Request::DeviceProps => "cudaGetDeviceProperties",
-            Request::StreamCreate => "cudaStreamCreate",
-            Request::StreamSynchronize { .. } => "cudaStreamSynchronize",
-            Request::StreamDestroy { .. } => "cudaStreamDestroy",
-            Request::MemcpyAsync { kind, .. } => match kind {
-                MemcpyKind::HostToDevice => "cudaMemcpyAsyncH2D",
-                MemcpyKind::DeviceToHost => "cudaMemcpyAsyncD2H",
-                MemcpyKind::DeviceToDevice => "cudaMemcpyAsyncD2D",
-                MemcpyKind::HostToHost => "cudaMemcpyAsyncH2H",
-            },
-            Request::Memset { .. } => "cudaMemset",
-            Request::EventCreate => "cudaEventCreate",
-            Request::EventRecord { .. } => "cudaEventRecord",
-            Request::EventSynchronize { .. } => "cudaEventSynchronize",
-            Request::EventElapsed { .. } => "cudaEventElapsedTime",
-            Request::EventDestroy { .. } => "cudaEventDestroy",
-            Request::Quit => "finalization",
-        }
-    }
-
     /// Exact number of bytes [`Request::write`] puts on the wire.
     ///
     /// For the Table I operations this reproduces the paper's Send column —
@@ -223,26 +161,15 @@ impl Request {
     /// region incrementally off the socket. The canonical `x+44` accounting
     /// used to regenerate Table I lives in [`crate::sizes`].
     pub fn wire_bytes(&self) -> u64 {
-        match self {
-            Request::Init { module } => 4 + module.len() as u64,
-            Request::Malloc { .. } => 8,
-            Request::Free { .. } => 8,
-            Request::Memcpy { data, .. } => 20 + data.as_ref().map_or(0, |d| d.len() as u64),
-            Request::Launch { region, .. } => 4 + LAUNCH_FIXED_BYTES + 4 + region.len() as u64,
-            Request::ThreadSynchronize => 4,
-            Request::DeviceProps => 4,
-            Request::StreamCreate => 4,
-            Request::StreamSynchronize { .. } => 8,
-            Request::StreamDestroy { .. } => 8,
-            Request::MemcpyAsync { data, .. } => 24 + data.as_ref().map_or(0, |d| d.len() as u64),
-            Request::Memset { .. } => 16,
-            Request::EventCreate => 4,
-            Request::EventRecord { .. } => 12,
-            Request::EventSynchronize { .. } => 8,
-            Request::EventElapsed { .. } => 12,
-            Request::EventDestroy { .. } => 8,
-            Request::Quit => 4,
-        }
+        let payload = match self {
+            Request::Init { module } => module.len(),
+            Request::Memcpy { data, .. } | Request::MemcpyAsync { data, .. } => {
+                data.as_ref().map_or(0, |d| d.len())
+            }
+            Request::Launch { region, .. } => region.len(),
+            _ => 0,
+        };
+        self.head_bytes() + payload as u64
     }
 
     /// Serialize onto the wire (legacy framing: payloads travel raw).
@@ -394,28 +321,6 @@ impl Request {
         codec: Option<&Codec>,
     ) -> io::Result<Request> {
         Ok(match id {
-            FunctionId::Batch => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "batch frames cannot appear inside a batch",
-                ))
-            }
-            FunctionId::Hello
-            | FunctionId::Reconnect
-            | FunctionId::MuxHello
-            | FunctionId::Migrate
-            | FunctionId::Codec => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "handshake selectors are only valid as the first post-connect message",
-                ))
-            }
-            FunctionId::Busy => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "Busy is a server-to-client hello marker, never a request",
-                ))
-            }
             FunctionId::Malloc => Request::Malloc { size: get_u32(r)? },
             FunctionId::Free => Request::Free {
                 ptr: DevicePtr::new(get_u32(r)?),
@@ -493,6 +398,7 @@ impl Request {
             },
             FunctionId::EventDestroy => Request::EventDestroy { event: get_u32(r)? },
             FunctionId::Quit => Request::Quit,
+            framing => return Err(framing.misplaced()),
         })
     }
 }

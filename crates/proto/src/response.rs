@@ -9,7 +9,7 @@ use std::io::{self, Read, Write};
 use rcuda_core::{error::result_code, CudaError, CudaResult, DevicePtr};
 
 use crate::codec::Codec;
-use crate::ids::MemcpyKind;
+use crate::ids::ReplyShape;
 use crate::payload::{BufferPool, Payload};
 use crate::request::Request;
 use crate::wire::{get_bytes, get_u32, put_bytes, put_u32, read_payload};
@@ -42,20 +42,14 @@ impl Response {
     /// branchs excluded): Malloc `8`, Memcpy-to-host `x+4`, everything
     /// ack-only `4`.
     pub fn wire_bytes(&self) -> u64 {
-        match self {
-            Response::Ack(_) => 4,
-            Response::Malloc(Ok(_)) => 8,
-            Response::Malloc(Err(_)) => 4,
-            Response::MemcpyToHost(Ok(d)) => 4 + d.len() as u64,
-            Response::MemcpyToHost(Err(_)) => 4,
-            Response::DeviceProps(Ok(d)) => 8 + d.len() as u64,
-            Response::DeviceProps(Err(_)) => 4,
-            Response::StreamCreate(Ok(_)) => 8,
-            Response::StreamCreate(Err(_)) => 4,
-            Response::EventCreate(Ok(_)) => 8,
-            Response::EventCreate(Err(_)) => 4,
-            Response::EventElapsed(Ok(_)) => 8,
-            Response::EventElapsed(Err(_)) => 4,
+        4 + match self {
+            Response::Malloc(Ok(_))
+            | Response::StreamCreate(Ok(_))
+            | Response::EventCreate(Ok(_))
+            | Response::EventElapsed(Ok(_)) => 4,
+            Response::MemcpyToHost(Ok(d)) => d.len() as u64,
+            Response::DeviceProps(Ok(d)) => 4 + d.len() as u64,
+            _ => 0,
         }
     }
 
@@ -70,54 +64,22 @@ impl Response {
     /// after the status word; every other variant is byte-identical to the
     /// legacy framing.
     pub fn write_codec<W: Write>(&self, w: &mut W, codec: Option<&Codec>) -> io::Result<()> {
+        put_u32(w, result_code(&self.status()))?;
         match self {
-            Response::Ack(r) => put_u32(w, result_code(r)),
-            Response::Malloc(r) => match r {
-                Ok(ptr) => {
-                    put_u32(w, 0)?;
-                    put_u32(w, ptr.addr())
-                }
-                Err(e) => put_u32(w, e.code()),
+            Response::Malloc(Ok(ptr)) => put_u32(w, ptr.addr()),
+            Response::MemcpyToHost(Ok(data)) => match codec {
+                Some(c) => c.write_block(w, data).map(|_| ()),
+                None => put_bytes(w, data),
             },
-            Response::MemcpyToHost(r) => match r {
-                Ok(data) => {
-                    put_u32(w, 0)?;
-                    match codec {
-                        Some(c) => c.write_block(w, data).map(|_| ()),
-                        None => put_bytes(w, data),
-                    }
-                }
-                Err(e) => put_u32(w, e.code()),
-            },
-            Response::DeviceProps(r) => match r {
-                Ok(blob) => {
-                    put_u32(w, 0)?;
-                    put_u32(w, blob.len() as u32)?;
-                    put_bytes(w, blob)
-                }
-                Err(e) => put_u32(w, e.code()),
-            },
-            Response::StreamCreate(r) => match r {
-                Ok(stream) => {
-                    put_u32(w, 0)?;
-                    put_u32(w, *stream)
-                }
-                Err(e) => put_u32(w, e.code()),
-            },
-            Response::EventCreate(r) => match r {
-                Ok(event) => {
-                    put_u32(w, 0)?;
-                    put_u32(w, *event)
-                }
-                Err(e) => put_u32(w, e.code()),
-            },
-            Response::EventElapsed(r) => match r {
-                Ok(ms) => {
-                    put_u32(w, 0)?;
-                    put_u32(w, ms.to_bits())
-                }
-                Err(e) => put_u32(w, e.code()),
-            },
+            Response::DeviceProps(Ok(blob)) => {
+                put_u32(w, blob.len() as u32)?;
+                put_bytes(w, blob)
+            }
+            Response::StreamCreate(Ok(handle)) | Response::EventCreate(Ok(handle)) => {
+                put_u32(w, *handle)
+            }
+            Response::EventElapsed(Ok(ms)) => put_u32(w, ms.to_bits()),
+            _ => Ok(()),
         }
     }
 
@@ -150,46 +112,45 @@ impl Response {
         pool: Option<&BufferPool>,
         codec: Option<&Codec>,
     ) -> io::Result<Response> {
-        let status = CudaError::from_code(get_u32(r)?);
-        Ok(match req {
-            Request::Malloc { .. } => match status {
-                Ok(()) => Response::Malloc(Ok(DevicePtr::new(get_u32(r)?))),
-                Err(e) => Response::Malloc(Err(e)),
-            },
-            // Only device→host copies carry a payload back; H2D and D2D
-            // are plain acknowledgements.
-            Request::Memcpy { size, kind, .. } | Request::MemcpyAsync { size, kind, .. }
-                if matches!(kind, MemcpyKind::DeviceToHost) =>
-            {
-                match status {
-                    Ok(()) => Response::MemcpyToHost(Ok(match codec {
-                        Some(c) => c.read_block(r, *size as usize)?,
-                        None => read_payload(r, *size as usize, pool)?,
-                    })),
-                    Err(e) => Response::MemcpyToHost(Err(e)),
-                }
+        let shape = req.reply_shape();
+        if let Err(e) = CudaError::from_code(get_u32(r)?) {
+            return Ok(Response::failure(shape, e));
+        }
+        Ok(match shape {
+            ReplyShape::Ack => Response::Ack(Ok(())),
+            ReplyShape::Malloc => Response::Malloc(Ok(DevicePtr::new(get_u32(r)?))),
+            ReplyShape::MemcpyToHost => {
+                let (Request::Memcpy { size, .. } | Request::MemcpyAsync { size, .. }) = req else {
+                    unreachable!("only the memcpy rows reply with device bytes")
+                };
+                Response::MemcpyToHost(Ok(match codec {
+                    Some(c) => c.read_block(r, *size as usize)?,
+                    None => read_payload(r, *size as usize, pool)?,
+                }))
             }
-            Request::DeviceProps => match status {
-                Ok(()) => {
-                    let len = get_u32(r)? as usize;
-                    Response::DeviceProps(Ok(get_bytes(r, len)?))
-                }
-                Err(e) => Response::DeviceProps(Err(e)),
-            },
-            Request::StreamCreate => match status {
-                Ok(()) => Response::StreamCreate(Ok(get_u32(r)?)),
-                Err(e) => Response::StreamCreate(Err(e)),
-            },
-            Request::EventCreate => match status {
-                Ok(()) => Response::EventCreate(Ok(get_u32(r)?)),
-                Err(e) => Response::EventCreate(Err(e)),
-            },
-            Request::EventElapsed { .. } => match status {
-                Ok(()) => Response::EventElapsed(Ok(f32::from_bits(get_u32(r)?))),
-                Err(e) => Response::EventElapsed(Err(e)),
-            },
-            _ => Response::Ack(status),
+            ReplyShape::DeviceProps => {
+                let len = get_u32(r)? as usize;
+                Response::DeviceProps(Ok(get_bytes(r, len)?))
+            }
+            ReplyShape::StreamCreate => Response::StreamCreate(Ok(get_u32(r)?)),
+            ReplyShape::EventCreate => Response::EventCreate(Ok(get_u32(r)?)),
+            ReplyShape::EventElapsed => Response::EventElapsed(Ok(f32::from_bits(get_u32(r)?))),
         })
+    }
+
+    /// The reply of a call that failed with `err`: only the code travels,
+    /// wrapped in the variant its reply shape names so the reader stays in
+    /// step with the request.
+    pub fn failure(shape: ReplyShape, err: CudaError) -> Response {
+        match shape {
+            ReplyShape::Ack => Response::Ack(Err(err)),
+            ReplyShape::Malloc => Response::Malloc(Err(err)),
+            ReplyShape::MemcpyToHost => Response::MemcpyToHost(Err(err)),
+            ReplyShape::DeviceProps => Response::DeviceProps(Err(err)),
+            ReplyShape::StreamCreate => Response::StreamCreate(Err(err)),
+            ReplyShape::EventCreate => Response::EventCreate(Err(err)),
+            ReplyShape::EventElapsed => Response::EventElapsed(Err(err)),
+        }
     }
 
     /// The result code carried by any variant, by reference — the batch

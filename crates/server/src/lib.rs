@@ -27,6 +27,8 @@
 //! * [`daemon`] — the TCP accept loop (admission control, accept backoff)
 //!   feeding the reactor; built through [`DaemonBuilder`].
 
+#![warn(unreachable_pub)]
+
 pub(crate) mod broker_agent;
 pub mod builder;
 pub mod daemon;

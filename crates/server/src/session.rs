@@ -35,7 +35,6 @@ use rcuda_gpu::{GpuContext, GpuDevice};
 use rcuda_obs::{DaemonEvent, ObsHandle, Op, ServerSpan};
 use rcuda_proto::codec::{fold_caps, CAP_ALL, CAP_LZ4};
 use rcuda_proto::handshake::write_hello_reply;
-use rcuda_proto::ids::MemcpyKind;
 use rcuda_proto::mux::MuxHello;
 use rcuda_proto::{
     BatchResponse, BufferPool, ClientHello, Codec, Frame, Request, Response, SessionHello,
@@ -617,26 +616,10 @@ pub(crate) fn release_context(ctx: GpuContext, obs: &ObsHandle) -> u64 {
 
 /// The correctly-shaped error answer for a request whose dispatch
 /// panicked: every `Err` response serializes as the bare 4-byte code, so
-/// matching the request's response *kind* keeps the client's decoder in
+/// answering in the request's reply shape keeps the client's decoder in
 /// sync while it learns the session is dead.
 fn panic_response(req: &Request) -> Response {
-    let err = CudaError::LaunchFailure;
-    match req {
-        Request::Malloc { .. } => Response::Malloc(Err(err)),
-        Request::Memcpy {
-            kind: MemcpyKind::DeviceToHost,
-            ..
-        }
-        | Request::MemcpyAsync {
-            kind: MemcpyKind::DeviceToHost,
-            ..
-        } => Response::MemcpyToHost(Err(err)),
-        Request::DeviceProps => Response::DeviceProps(Err(err)),
-        Request::StreamCreate => Response::StreamCreate(Err(err)),
-        Request::EventCreate => Response::EventCreate(Err(err)),
-        Request::EventElapsed { .. } => Response::EventElapsed(Err(err)),
-        _ => Response::Ack(Err(err)),
-    }
+    Response::failure(req.reply_shape(), CudaError::LaunchFailure)
 }
 
 /// Dispatch one request, reporting its service time as a [`ServerSpan`]
@@ -677,9 +660,11 @@ mod tests {
     use rcuda_gpu::module::build_module;
     use rcuda_proto::codec::CodecHello;
     use rcuda_proto::decode::MAX_FRAME_BYTES;
-    use rcuda_proto::ids::FunctionId;
+    use rcuda_proto::ids::{FunctionId, MemcpyKind};
+    use rcuda_proto::request::wire_carries_payload;
     use rcuda_proto::{Batch, LaunchConfig};
     use std::cell::Cell;
+    use std::collections::HashSet;
 
     /// What one connection's worth of client bytes produced.
     struct Run {
@@ -810,6 +795,73 @@ mod tests {
             assert_eq!(report.requests, 8); // malloc, 2 H2D, launch, D2H, 2 batched, quit
             assert_eq!(report.leaked_allocations, 1, "the script never frees");
             assert_eq!(run.parked, 0);
+        }
+    }
+
+    /// A panicked call's error reply reads back, in every reply shape, as
+    /// exactly the bytes written and the same variant.
+    #[test]
+    fn panic_replies_read_back_in_every_reply_shape() {
+        let mut fixtures = vec![
+            Request::Init { module: vec![1] },
+            Request::Malloc { size: 64 },
+            Request::Free {
+                ptr: rcuda_core::DevicePtr::new(0x40),
+            },
+            Request::launch("k", &[1, 2], LaunchConfig::simple(1, 1)),
+            Request::ThreadSynchronize,
+            Request::DeviceProps,
+            Request::StreamCreate,
+            Request::StreamSynchronize { stream: 1 },
+            Request::StreamDestroy { stream: 1 },
+            Request::Memset {
+                dst: 0x40,
+                value: 7,
+                size: 8,
+            },
+            Request::EventCreate,
+            Request::EventRecord {
+                event: 1,
+                stream: 0,
+            },
+            Request::EventSynchronize { event: 1 },
+            Request::EventElapsed { start: 1, end: 2 },
+            Request::EventDestroy { event: 1 },
+            Request::Quit,
+        ];
+        for kind in (0..4).map(|k| MemcpyKind::from_u32(k).unwrap()) {
+            let data = wire_carries_payload(kind).then(|| vec![0u8; 8].into());
+            fixtures.push(Request::Memcpy {
+                dst: 0x40,
+                src: 0x80,
+                size: 8,
+                kind,
+                data: data.clone(),
+            });
+            fixtures.push(Request::MemcpyAsync {
+                dst: 0x40,
+                src: 0x80,
+                size: 8,
+                kind,
+                stream: 1,
+                data,
+            });
+        }
+        let rows: HashSet<_> = fixtures.iter().filter_map(Request::function_id).collect();
+        for id in FunctionId::ALL.iter().filter(|id| id.body().is_some()) {
+            assert!(rows.contains(id), "no fixture for call row {id:?}");
+        }
+        let shapes: HashSet<_> = fixtures.iter().map(Request::reply_shape).collect();
+        assert_eq!(shapes.len(), 7, "every reply shape is exercised");
+
+        for req in &fixtures {
+            let resp = panic_response(req);
+            let mut wire = Vec::new();
+            resp.write(&mut wire).unwrap();
+            let mut cursor = io::Cursor::new(&wire);
+            let back = Response::read(&mut cursor, req).unwrap();
+            assert_eq!(cursor.position() as usize, wire.len(), "{req:?}");
+            assert_eq!(back, resp, "{req:?}");
         }
     }
 

@@ -5,7 +5,7 @@
 //! |---|---|
 //! | §I Introduction — GPU-less nodes use remote GPUs transparently | [`crate::api::CudaRuntime`] (the illusion), [`crate::client::RemoteRuntime`] / [`crate::api::LocalRuntime`] (the two realities) |
 //! | §III rCUDA architecture, Fig. 1 (client/server over TCP) | [`crate::server::RcudaDaemon`] + [`crate::session::Session`]`::builder().connect(Endpoint::Tcp(..))` |
-//! | §III "first 32 bits identify the function" | [`crate::proto::FunctionId`], [`crate::proto::Request`] |
+//! | §III "first 32 bits identify the function" | the call table in [`crate::proto::ids`]: one row per selector gives the [`crate::proto::FunctionId`], the [`crate::proto::Request`] variant, the label, the body bytes, the reply shape and the retry/journal class (adding a call is one row plus its reader, writer and dispatch arms) |
 //! | §III Table I message breakdown | [`crate::proto::sizes::OpKind`] (accounting), [`crate::proto::Request::wire_bytes`] (realization) |
 //! | §III Fig. 2, the seven execution phases | [`crate::api::run_matmul_bytes`], [`crate::api::run_fft_bytes`] |
 //! | §III per-execution server process + new GPU context | one session engine, two I/O drivers: `rcuda_server`'s sans-IO `SessionMachine` (one [`crate::gpu::GpuContext`] per session) under the blocking [`crate::server::serve_connection`] (`Endpoint::Channel` / `Simulated`, mux sub-streams) and under the reactor shards of [`crate::server::RcudaDaemon`] (`Endpoint::Tcp` / `Broker`, `connect_in_process`) |
