@@ -11,6 +11,8 @@
 //! generically over any runtime, so the same driver code produces the
 //! local-GPU baseline and the remote measurements.
 
+#![warn(unreachable_pub)]
+
 pub mod exec;
 pub mod local;
 pub mod runtime;

@@ -2,6 +2,8 @@
 //! of the paper's tables and figures from the live models, and the
 //! paper-comparison report behind EXPERIMENTS.md.
 
+#![warn(unreachable_pub)]
+
 pub mod compare;
 pub mod json;
 pub mod phases;

@@ -7,7 +7,6 @@
 //! state machine on a fixed cadence, so a silently-wedged daemon (no EOF,
 //! no heartbeats) is still detected.
 
-use parking_lot::Mutex;
 use rcuda_core::CudaError;
 use rcuda_obs::ObsHandle;
 use rcuda_proto::broker::{BrokerHello, Heartbeat, HeartbeatReply, PlaceReply, PlaceRequest};
@@ -19,6 +18,7 @@ use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -45,6 +45,14 @@ struct Inner {
     conns: Mutex<Vec<TcpStream>>,
     auth_token: Option<Vec<u8>>,
     stop: AtomicBool,
+}
+
+impl Inner {
+    fn directory(&self) -> MutexGuard<'_, Directory> {
+        self.directory
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// Configures and binds a [`Broker`].
@@ -118,7 +126,7 @@ impl BrokerBuilder {
             .name("rcuda-broker-sweep".into())
             .spawn(move || {
                 while !sweep_inner.stop.load(Ordering::SeqCst) {
-                    sweep_inner.directory.lock().sweep(Instant::now());
+                    sweep_inner.directory().sweep(Instant::now());
                     std::thread::sleep(sweep_every.max(Duration::from_millis(1)));
                 }
             })?;
@@ -146,27 +154,24 @@ impl Broker {
 
     /// Snapshot of every registered daemon, id-ordered.
     pub fn daemons(&self) -> Vec<DaemonEntry> {
-        self.inner.directory.lock().daemons()
+        self.inner.directory().daemons()
     }
 
     /// Sessions stranded on down daemons.
     pub fn orphaned_sessions(&self) -> Vec<u64> {
-        self.inner.directory.lock().orphaned_sessions()
+        self.inner.directory().orphaned_sessions()
     }
 
     /// Answer a placement locally (same path a remote client's
     /// [`PlaceRequest`] takes; used by tests and in-process embedding).
     pub fn place(&self, session: u64) -> Vec<String> {
-        self.inner.directory.lock().place(session)
+        self.inner.directory().place(session)
     }
 
     /// Order the daemon holding `session` to migrate it to `target_addr`.
     /// The order rides the source daemon's next heartbeat reply.
     pub fn migrate(&self, session: u64, target_addr: &str) -> Result<(), &'static str> {
-        self.inner
-            .directory
-            .lock()
-            .order_migration(session, target_addr)
+        self.inner.directory().order_migration(session, target_addr)
     }
 
     /// Wait until `n` daemons are registered and alive (test convenience).
@@ -191,7 +196,13 @@ impl Broker {
     /// Stop the accept loop, unblock and join every handler thread.
     pub fn shutdown(&mut self) {
         self.inner.stop.store(true, Ordering::SeqCst);
-        for conn in self.inner.conns.lock().drain(..) {
+        for conn in self
+            .inner
+            .conns
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .drain(..)
+        {
             let _ = conn.shutdown(Shutdown::Both);
         }
         for t in self.threads.drain(..) {
@@ -214,7 +225,11 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
                     continue;
                 }
                 if let Ok(clone) = stream.try_clone() {
-                    inner.conns.lock().push(clone);
+                    inner
+                        .conns
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push(clone);
                 }
                 let conn_inner = Arc::clone(&inner);
                 let _ = std::thread::Builder::new()
@@ -290,10 +305,7 @@ fn serve_daemon(
     addr: String,
     capacity: u64,
 ) -> io::Result<()> {
-    let id = inner
-        .directory
-        .lock()
-        .register(&addr, capacity, Instant::now());
+    let id = inner.directory().register(&addr, capacity, Instant::now());
     stream.set_read_timeout(Some(DAEMON_READ_TIMEOUT))?;
     loop {
         if inner.stop.load(Ordering::SeqCst) {
@@ -304,18 +316,18 @@ fn serve_daemon(
             Err(_) => {
                 // EOF, reset, or a wedged peer: the registration trunk is
                 // dead — stronger evidence than any timer.
-                inner.directory.lock().mark_dead(id);
+                inner.directory().mark_dead(id);
                 return Ok(());
             }
         };
-        let commands = inner.directory.lock().heartbeat(id, &hb, Instant::now());
+        let commands = inner.directory().heartbeat(id, &hb, Instant::now());
         let reply = HeartbeatReply { commands };
         if reply
             .write(&mut stream)
             .and_then(|_| stream.flush())
             .is_err()
         {
-            inner.directory.lock().mark_dead(id);
+            inner.directory().mark_dead(id);
             return Ok(());
         }
     }
@@ -329,7 +341,7 @@ fn serve_client(mut stream: TcpStream, inner: Arc<Inner>) -> io::Result<()> {
         let Ok(req) = PlaceRequest::read(&mut stream) else {
             return Ok(()); // client hung up
         };
-        let addrs = inner.directory.lock().place(req.session);
+        let addrs = inner.directory().place(req.session);
         PlaceReply { addrs }.write(&mut stream)?;
         stream.flush()?;
     }

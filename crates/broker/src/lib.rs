@@ -14,6 +14,8 @@
 //! * [`DaemonLink`] — a daemon's registration + heartbeat connection.
 //! * [`BrokerClient`] — a CUDA client's placement connection.
 
+#![warn(unreachable_pub)]
+
 pub mod broker;
 pub mod client;
 pub mod directory;

@@ -41,8 +41,8 @@ use rcuda_core::{CudaError, CudaResult, DeviceProperties, DevicePtr, Dim3, Share
 use rcuda_obs::{CallSpan, ObsHandle, Op, PoolStats, SessionMetrics};
 use rcuda_proto::codec::{split_minor_word, CodecHello, CodecStats, CAP_LZ4};
 use rcuda_proto::handshake::{read_hello_reply, ServerHello};
-use rcuda_proto::ids::{FunctionId, MemcpyKind};
-use rcuda_proto::wire::{get_u32, write_all_vectored};
+use rcuda_proto::ids::MemcpyKind;
+use rcuda_proto::wire::{get_u32, put_u32, write_all_vectored};
 use rcuda_proto::{
     Batch, BatchResponse, BufferPool, Codec, CodecMode, LaunchConfig, Payload, Request, Response,
     SessionHello,
@@ -547,30 +547,14 @@ impl<T: Transport> RemoteRuntime<T> {
         }
     }
 
-    /// Journal a borrowed-payload H2D exchange that never built a
-    /// [`Request`]: the equivalent owned request is reconstructed (one
-    /// copy — the price of replayability, paid only with a journal armed).
-    fn journal_borrowed_h2d(&mut self, dst: DevicePtr, data: &[u8], stream: Option<u32>) {
+    /// Journal a borrowed-payload H2D exchange, whose request was built
+    /// without its data: the owned request is completed with one copy (the
+    /// price of replayability, paid only with a journal armed).
+    fn journal_borrowed_h2d(&mut self, req: Request, data: &[u8]) {
         if !self.failover_armed() {
             return;
         }
-        let req = match stream {
-            None => Request::Memcpy {
-                dst: dst.addr(),
-                src: 0,
-                size: data.len() as u32,
-                kind: MemcpyKind::HostToDevice,
-                data: Some(Payload::Owned(data.to_vec())),
-            },
-            Some(stream) => Request::MemcpyAsync {
-                dst: dst.addr(),
-                src: 0,
-                size: data.len() as u32,
-                kind: MemcpyKind::HostToDevice,
-                stream,
-                data: Some(Payload::Owned(data.to_vec())),
-            },
-        };
+        let req = with_data(req, Payload::Owned(data.to_vec()));
         if let Some(journal) = self.journal.as_mut() {
             journal.record(req, Expect::Ack);
         }
@@ -821,13 +805,16 @@ impl<T: Transport> RemoteRuntime<T> {
         result
     }
 
-    /// Codec-aware borrowed H2D send: on a negotiated session the body is
-    /// encoded through the codec (pooled scratch, no allocation) and the
-    /// 4-byte `enc_len` word joins the stack-built head; a legacy session
-    /// passes the caller's slices through untouched.
-    fn exchange_borrowed_h2d(&mut self, op: Op, head: &[u8], data: &[u8]) -> CudaResult<()> {
+    /// Borrowed H2D send of `req`, a memcpy built without its data: the
+    /// stack-built head goes out ahead of the caller's slice. On a
+    /// negotiated session the body is encoded through the codec (pooled
+    /// scratch, no allocation) and the 4-byte `enc_len` word joins the head;
+    /// a legacy session passes the caller's slice through untouched.
+    fn exchange_borrowed_h2d(&mut self, req: &Request, data: &[u8]) -> CudaResult<()> {
+        let op = Op::Named(req.op_name());
+        let mut head = req.head();
         if !self.codec_active {
-            return self.exchange_borrowed(op, head, data, None);
+            return self.exchange_borrowed(op, &head, data, None);
         }
         let encoded = self
             .codec
@@ -835,10 +822,8 @@ impl<T: Transport> RemoteRuntime<T> {
             .expect("active implies codec")
             .encode(data);
         let body: &[u8] = encoded.as_ref().map_or(data, |p| p.as_slice());
-        let mut ext = [0u8; 28];
-        ext[..head.len()].copy_from_slice(head);
-        ext[head.len()..head.len() + 4].copy_from_slice(&(body.len() as u32).to_le_bytes());
-        self.exchange_borrowed(op, &ext[..head.len() + 4], body, None)
+        put_u32(&mut head, body.len() as u32).expect("a head has room for one more word");
+        self.exchange_borrowed(op, &head, body, None)
     }
 
     /// Submit a no-result call. With pipelining off this is a synchronous
@@ -873,40 +858,12 @@ fn first_failure(responses: &[Response]) -> CudaResult<()> {
     Ok(())
 }
 
-/// The call table's label for a borrowed memcpy exchange, which builds no
-/// [`Request`] to ask.
-fn borrowed_op(id: FunctionId, kind: MemcpyKind) -> Op {
-    Op::Named(id.label(kind).expect("memcpy rows are call rows"))
-}
-
-/// The fixed 20-byte header of a `Memcpy` request, laid out exactly as
-/// [`Request::write`] encodes it (selector + dst + src + size + kind, all
-/// little-endian) — the stack-built head of the borrowed fast paths.
-fn memcpy_head(dst: u32, src: u32, size: u32, kind: MemcpyKind) -> [u8; 20] {
-    let mut head = [0u8; 20];
-    let words = [FunctionId::Memcpy.as_u32(), dst, src, size, kind.as_u32()];
-    for (slot, word) in head.chunks_exact_mut(4).zip(words) {
-        slot.copy_from_slice(&word.to_le_bytes());
+/// A memcpy request built without its data, given `payload` as its data.
+fn with_data(mut req: Request, payload: Payload) -> Request {
+    if let Request::Memcpy { data, .. } | Request::MemcpyAsync { data, .. } = &mut req {
+        *data = Some(payload);
     }
-    head
-}
-
-/// The fixed 24-byte header of a `MemcpyAsync` request ([`memcpy_head`]
-/// plus the trailing stream field).
-fn memcpy_async_head(dst: u32, src: u32, size: u32, kind: MemcpyKind, stream: u32) -> [u8; 24] {
-    let mut head = [0u8; 24];
-    let words = [
-        FunctionId::MemcpyAsync.as_u32(),
-        dst,
-        src,
-        size,
-        kind.as_u32(),
-        stream,
-    ];
-    for (slot, word) in head.chunks_exact_mut(4).zip(words) {
-        slot.copy_from_slice(&word.to_le_bytes());
-    }
-    head
+    req
 }
 
 impl<T: Transport> RemoteRuntime<T> {
@@ -1044,28 +1001,25 @@ impl<T: Transport> CudaRuntime for RemoteRuntime<T> {
 
     fn memcpy_h2d(&mut self, dst: DevicePtr, data: &[u8]) -> CudaResult<()> {
         self.ensure_initialized()?;
-        // Synchronous fast path: the caller's slice goes out as the body of
-        // a vectored write — no `Request` is built and nothing is copied.
+        // Synchronous fast path: the request is built without its data, for
+        // its stack head; the caller's slice goes out as the body of a
+        // vectored write and nothing is copied.
         // (Safe to replay: H2D is idempotent, and the borrow outlives the
         // retry loop.) The deferred path must own its bytes until the drain,
         // so it stages one copy in a pooled buffer.
-        if self.pipeline_depth == 0 && self.window.is_empty() {
-            let head = memcpy_head(dst.addr(), 0, data.len() as u32, MemcpyKind::HostToDevice);
-            self.exchange_borrowed_h2d(
-                borrowed_op(FunctionId::Memcpy, MemcpyKind::HostToDevice),
-                &head,
-                data,
-            )?;
-            self.journal_borrowed_h2d(dst, data, None);
-            return Ok(());
-        }
         let req = Request::Memcpy {
             dst: dst.addr(),
             src: 0,
             size: data.len() as u32,
             kind: MemcpyKind::HostToDevice,
-            data: Some(Payload::Pooled(self.pool.copy_from(data))),
+            data: None,
         };
+        if self.pipeline_depth == 0 && self.window.is_empty() {
+            self.exchange_borrowed_h2d(&req, data)?;
+            self.journal_borrowed_h2d(req, data);
+            return Ok(());
+        }
+        let req = with_data(req, Payload::Pooled(self.pool.copy_from(data)));
         self.defer(req)
     }
 
@@ -1075,13 +1029,14 @@ impl<T: Transport> CudaRuntime for RemoteRuntime<T> {
         // results); after the drain the exchange is borrowed end to end —
         // the reply payload lands straight in the caller's buffer.
         self.flush_pipeline()?;
-        let head = memcpy_head(0, src.addr(), buf.len() as u32, MemcpyKind::DeviceToHost);
-        self.exchange_borrowed(
-            borrowed_op(FunctionId::Memcpy, MemcpyKind::DeviceToHost),
-            &head,
-            &[],
-            Some(buf),
-        )
+        let req = Request::Memcpy {
+            dst: 0,
+            src: src.addr(),
+            size: buf.len() as u32,
+            kind: MemcpyKind::DeviceToHost,
+            data: None,
+        };
+        self.exchange_borrowed(Op::Named(req.op_name()), &req.head(), &[], Some(buf))
     }
 
     fn memcpy_d2h(&mut self, src: DevicePtr, size: u32) -> CudaResult<Vec<u8>> {
@@ -1180,30 +1135,20 @@ impl<T: Transport> CudaRuntimeAsyncExt for RemoteRuntime<T> {
         // Same split as the synchronous path: borrowed vectored write when
         // nothing is pending, pooled staging when the request must ride a
         // draining batch.
-        if self.window.is_empty() {
-            let head = memcpy_async_head(
-                dst.addr(),
-                0,
-                data.len() as u32,
-                MemcpyKind::HostToDevice,
-                stream,
-            );
-            self.exchange_borrowed_h2d(
-                borrowed_op(FunctionId::MemcpyAsync, MemcpyKind::HostToDevice),
-                &head,
-                data,
-            )?;
-            self.journal_borrowed_h2d(dst, data, Some(stream));
-            return Ok(());
-        }
         let req = Request::MemcpyAsync {
             dst: dst.addr(),
             src: 0,
             size: data.len() as u32,
             kind: MemcpyKind::HostToDevice,
             stream,
-            data: Some(Payload::Pooled(self.pool.copy_from(data))),
+            data: None,
         };
+        if self.window.is_empty() {
+            self.exchange_borrowed_h2d(&req, data)?;
+            self.journal_borrowed_h2d(req, data);
+            return Ok(());
+        }
+        let req = with_data(req, Payload::Pooled(self.pool.copy_from(data)));
         self.call(req)?.into_ack()
     }
 
@@ -1228,19 +1173,15 @@ impl<T: Transport> CudaRuntimeAsyncExt for RemoteRuntime<T> {
     ) -> CudaResult<()> {
         self.ensure_initialized()?;
         self.flush_pipeline()?;
-        let head = memcpy_async_head(
-            0,
-            src.addr(),
-            buf.len() as u32,
-            MemcpyKind::DeviceToHost,
+        let req = Request::MemcpyAsync {
+            dst: 0,
+            src: src.addr(),
+            size: buf.len() as u32,
+            kind: MemcpyKind::DeviceToHost,
             stream,
-        );
-        self.exchange_borrowed(
-            borrowed_op(FunctionId::MemcpyAsync, MemcpyKind::DeviceToHost),
-            &head,
-            &[],
-            Some(buf),
-        )
+            data: None,
+        };
+        self.exchange_borrowed(Op::Named(req.op_name()), &req.head(), &[], Some(buf))
     }
 
     fn event_create(&mut self) -> CudaResult<u32> {

@@ -9,6 +9,8 @@
 //! Nothing here knows about networks, GPUs, or the wire protocol — it is the
 //! dependency root of the workspace.
 
+#![warn(unreachable_pub)]
+
 pub mod args;
 pub mod casestudy;
 pub mod device;

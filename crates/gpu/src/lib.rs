@@ -20,6 +20,8 @@
 //! * [`device`] — the device itself: properties, PCIe link, cost model;
 //! * [`timing`] — default kernel/PCIe cost models (C1060-flavored).
 
+#![warn(unreachable_pub)]
+
 pub mod alloc;
 pub mod context;
 pub mod device;

@@ -20,6 +20,8 @@
 //! *not* used to reproduce the paper's tables — timing there comes from the
 //! calibrated cost models in `rcuda-model`.
 
+#![warn(unreachable_pub)]
+
 pub mod complex;
 pub mod fft;
 pub mod matrix;

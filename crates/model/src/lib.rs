@@ -27,8 +27,9 @@
 //! *derived* tables are then produced by running the paper's methodology on
 //! the simulator's output — not by copying the paper's numbers.
 
+#![warn(unreachable_pub)]
+
 pub mod calib;
-pub mod capacity;
 pub mod chart;
 pub mod compare;
 pub mod estimate;
@@ -43,7 +44,6 @@ pub mod testbed;
 pub mod workloads;
 
 pub use calib::{Calibration, PolyFit};
-pub use capacity::{plan_capacity, CapacityPlan, ClusterSpec};
 pub use compare::{compare_report, CompareReport, PhaseRow};
 pub use estimate::{
     cross_validate, estimate, estimate_compressed, fixed_time, transfer_time,

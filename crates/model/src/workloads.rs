@@ -1,6 +1,6 @@
 //! Extended §V estimator for phase-structured workloads.
 //!
-//! The paper's model (see [`crate::estimate`]) prices an execution as a
+//! The paper's model (see [`crate::estimate()`]) prices an execution as a
 //! network-independent fixed time plus `k` *bulk* copies at the target
 //! network's effective bandwidth — valid for MM/FFT because they move "few,
 //! large messages". The AI-inference workloads in `rcuda-workloads` break
@@ -14,7 +14,7 @@
 //!    contends for the daemon's shards; the extension adds an M/D/c-style
 //!    wait term on top of the per-client service estimate.
 //!
-//! The original single-phase model stays untouched in [`crate::estimate`] —
+//! The original single-phase model stays untouched in [`crate::estimate()`] —
 //! regression tests below pin its MM/FFT outputs to their pre-extension
 //! values so the paper's Tables IV–VI are provably undisturbed.
 

@@ -8,9 +8,9 @@
 //! is unaffected. The `cluster_share` example and the contention ablation
 //! bench build on this.
 
-use parking_lot::Mutex;
 use rcuda_core::SimTime;
 use std::sync::Arc;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::model::NetworkModel;
 
@@ -21,6 +21,12 @@ pub struct SharedLink {
 }
 
 impl SharedLink {
+    fn active_flows(&self) -> MutexGuard<'_, u32> {
+        self.active_flows
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     pub fn new(inner: Arc<dyn NetworkModel>) -> Self {
         SharedLink {
             inner,
@@ -30,12 +36,12 @@ impl SharedLink {
 
     /// Current number of registered flows.
     pub fn flows(&self) -> u32 {
-        *self.active_flows.lock()
+        *self.active_flows()
     }
 
     /// Register a flow; returns a guard that deregisters on drop.
     pub fn join(self: &Arc<Self>) -> FlowGuard {
-        *self.active_flows.lock() += 1;
+        *self.active_flows() += 1;
         FlowGuard {
             link: Arc::clone(self),
         }
@@ -69,7 +75,7 @@ pub struct FlowGuard {
 
 impl Drop for FlowGuard {
     fn drop(&mut self) {
-        let mut flows = self.link.active_flows.lock();
+        let mut flows = self.link.active_flows();
         debug_assert!(*flows > 0);
         *flows = flows.saturating_sub(1);
     }

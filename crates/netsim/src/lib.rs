@@ -29,6 +29,8 @@
 //!   actually costs; for GigaE this includes the TCP-window distortion the
 //!   paper blames for its FFT estimation errors (§V).
 
+#![warn(unreachable_pub)]
+
 pub mod compress;
 pub mod contention;
 pub mod gige;

@@ -13,9 +13,9 @@ use crate::event::{
 };
 use crate::hist::Histogram;
 use crate::op::Op;
-use parking_lot::Mutex;
 use rcuda_core::{SharedClock, SimTime};
 use std::sync::Arc;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 #[derive(Default)]
 struct RecState {
@@ -41,6 +41,10 @@ pub struct Recorder {
 }
 
 impl Recorder {
+    fn state(&self) -> MutexGuard<'_, RecState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     pub fn new() -> Arc<Recorder> {
         Arc::new(Recorder {
             clock: Mutex::new(None),
@@ -60,7 +64,7 @@ impl Recorder {
     /// before the session join the session's clock — e.g. the virtual clock
     /// a `Session::builder().connect(Endpoint::Simulated(..))` call creates internally.
     pub fn attach_clock(&self, clock: SharedClock) {
-        *self.clock.lock() = Some(clock);
+        *self.clock.lock().unwrap_or_else(PoisonError::into_inner) = Some(clock);
     }
 
     /// An [`ObsHandle`] armed with this recorder, ready for
@@ -71,7 +75,7 @@ impl Recorder {
 
     /// Snapshot and aggregate everything recorded so far.
     pub fn report(&self) -> Report {
-        let state = self.state.lock();
+        let state = self.state();
         let mut messages = MessageTotals::default();
         for (dir, bytes, _) in &state.messages {
             match dir {
@@ -101,44 +105,42 @@ impl Recorder {
 
 impl Observer for Recorder {
     fn call_span(&self, span: &CallSpan) {
-        self.state.lock().spans.push(*span);
+        self.state().spans.push(*span);
     }
 
     fn message(&self, event: &MessageEvent) {
         let at = self
             .clock
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .as_ref()
             .map(|c| c.now())
             .unwrap_or(SimTime::ZERO);
-        self.state
-            .lock()
-            .messages
-            .push((event.dir, event.bytes, at));
+        self.state().messages.push((event.dir, event.bytes, at));
     }
 
     fn retry(&self, _op: Op, _attempt: u32) {
-        self.state.lock().retries += 1;
+        self.state().retries += 1;
     }
 
     fn reconnect(&self) {
-        self.state.lock().reconnects += 1;
+        self.state().reconnects += 1;
     }
 
     fn server_span(&self, span: &ServerSpan) {
-        self.state.lock().server_spans.push(*span);
+        self.state().server_spans.push(*span);
     }
 
     fn daemon_event(&self, event: &DaemonEvent) {
-        self.state.lock().daemon_events.push(*event);
+        self.state().daemon_events.push(*event);
     }
 
     fn shard_span(&self, span: &ShardSpan) {
-        self.state.lock().shard_spans.push(*span);
+        self.state().shard_spans.push(*span);
     }
 
     fn stream_frame(&self, event: &StreamFrameEvent) {
-        self.state.lock().stream_frames.push(*event);
+        self.state().stream_frames.push(*event);
     }
 }
 

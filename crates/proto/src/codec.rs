@@ -144,7 +144,7 @@ const BACKOFF_PROBE_PERIOD: u64 = 8;
 pub struct CodecStats {
     /// Payloads shipped compressed.
     pub compressed: u64,
-    /// Declined: below [`MIN_COMPRESS_LEN`].
+    /// Declined: shorter than the 4 KiB compression floor.
     pub raw_small: u64,
     /// Declined: entropy probe saw near-random bytes.
     pub raw_entropy: u64,

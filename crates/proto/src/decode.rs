@@ -23,10 +23,9 @@ use std::io::{self, Cursor};
 use crate::batch::Frame;
 use crate::codec::{Codec, CodecHello};
 use crate::handshake::SessionHello;
-use crate::ids::{FunctionId, MemcpyKind};
+use crate::ids::FunctionId;
 use crate::mux::MuxHello;
 use crate::payload::BufferPool;
-use crate::request::wire_carries_payload;
 
 /// Upper bound on a single decoded message. Every length field on the wire
 /// is a u32, so a corrupt or hostile peer can claim ~4 GiB; no real message
@@ -77,24 +76,11 @@ fn scan_request_at(buf: &[u8], off: usize, codec: bool) -> io::Result<Scan> {
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     let body = id.body().ok_or_else(|| id.misplaced())?;
     let head = 4 + body.fixed as usize;
-    if !body.payload {
+    if !body.payload || avail < head {
         return Ok(sized(avail, head));
     }
-    if avail < head {
-        return Ok(Scan::Need(head));
-    }
-    let payload = if id == FunctionId::Launch {
-        // The region length is the last fixed word.
-        u32_at(buf, off + head - 4) as usize
-    } else {
-        // Memcpy rows: dst, src, size, kind (, stream) — the payload
-        // follows only when the data flows client → server.
-        let kind = MemcpyKind::from_u32(u32_at(buf, off + 16))
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        if !wire_carries_payload(kind) {
-            return Ok(sized(avail, head));
-        }
-        u32_at(buf, off + 12) as usize
+    let Some(payload) = id.tail_len(&buf[off + 4..off + head])? else {
+        return Ok(Scan::Complete(head));
     };
     if codec {
         scan_block(buf, off, avail, head, payload)
@@ -380,6 +366,7 @@ impl StreamDecoder {
 mod tests {
     use super::*;
     use crate::batch::Batch;
+    use crate::ids::MemcpyKind;
     use crate::launch::{LaunchConfig, LAUNCH_FIXED_BYTES};
     use crate::request::Request;
     use rcuda_core::DevicePtr;

@@ -6,11 +6,16 @@
 //! is that table for this implementation. A call row gives:
 //!
 //! * the [`FunctionId`] variant and its wire value (the first 32 bits of
-//!   the request, §III), with its doc;
-//! * the [`Request`] variant it decodes to;
+//!   the request, §III), with the doc it shares with its [`Request`]
+//!   variant;
+//! * the request's fixed fields in wire order, each of a fixed-width wire
+//!   type (`u32`, `DevicePtr`, `MemcpyKind`, `LaunchConfig`);
+//! * after a `;`, the bulk payload that may follow them (Table I's `x`):
+//!   `= word` when a length word, written from the payload's length,
+//!   ends the fixed fields; `= size if gate(kind)` when an existing field
+//!   gives the length and the payload travels only when the gate holds
+//!   (the field is then an `Option`);
 //! * the observability label the client and server stamp on its spans;
-//! * its body after the selector: fixed bytes, `+ x` when a bulk payload
-//!   may follow (Table I's notation);
 //! * its reply shape ([`ReplyShape`]);
 //! * two independent class bits: `replay` (safe to retry after a transport
 //!   fault, see `rcuda-client`'s retry module) and `journal` (`never`,
@@ -24,20 +29,28 @@
 //! server's `Busy` marker) carry no request; they say whether they are
 //! valid inside a session and why a request reader rejects them.
 //!
-//! Everything per-call is derived from the rows: [`FunctionId`] itself,
-//! [`FunctionId::from_u32`], [`FunctionId::ALL`], [`FunctionId::label`],
-//! [`FunctionId::body`], [`Request::function_id`], [`Request::op_name`],
+//! Everything per-call is derived from the rows: [`Request`] itself, the
+//! head writer behind [`Request::write`] and [`Request::head`], the reader
+//! [`Request::read_with_id_codec`], the scanner's payload lengths,
+//! [`FunctionId`], [`FunctionId::from_u32`], [`FunctionId::ALL`],
+//! [`FunctionId::label`], [`FunctionId::body`] (summed from the field
+//! widths), [`Request::function_id`], [`Request::op_name`],
 //! [`Request::reply_shape`], [`Request::replayable`] and
-//! [`Request::journaled`]. Adding a call is one row here plus its reader
-//! and writer arms in [`crate::request`] and its dispatch arm in the
-//! server. Table I's own byte accounting (with the paper's `x+44` launch)
-//! stays in [`crate::sizes`].
+//! [`Request::journaled`]. Adding a fixed-body call is one row here plus
+//! its dispatch arm in the server. Only the positional `Init` message and
+//! the shared payload tail are written by hand ([`crate::request`]).
+//! Table I's own byte accounting (with the paper's `x+44` launch) stays in
+//! [`crate::sizes`].
 
-use std::io;
+use std::io::{self, Read, Write};
 
-use rcuda_core::CudaError;
+use rcuda_core::{CudaError, DevicePtr};
 
-use crate::request::Request;
+use crate::codec::Codec;
+use crate::launch::LaunchConfig;
+use crate::payload::{BufferPool, Payload};
+use crate::request::{read_tail, wire_carries_payload};
+use crate::wire::{get_u32, put_u32, Field};
 
 /// What a reply carries after its 4-byte result code when the call
 /// succeeds (on error only the code travels). Keyed by the request, as in
@@ -72,19 +85,36 @@ pub struct Body {
 
 macro_rules! call_table {
     (
-        init $init:ident: $init_label:literal, body $init_body:literal + x,
-            reply $init_reply:ident, replay $init_replay:ident, journal never;
+        $(#[$rdoc:meta])*
+        init {
+            $(#[$idoc:meta])*
+            $init:ident { $(#[$imdoc:meta])* $module:ident: $mt:ty }: $init_label:literal,
+                reply $init_reply:ident, replay $init_replay:ident, journal never;
+        }
         calls {$(
             $(#[$doc:meta])*
-            $id:ident = $wire:literal => $req:ident $(by $k:ident)?: $label:tt,
-                body $body:literal $(+ $x:ident)?, reply $reply:tt,
-                replay $replay:ident, journal $journal:ident;
+            $id:ident = $wire:literal $({
+                $($(#[$fdoc:meta])* $f:ident: $t:ty),+
+                $(; $(#[$pdoc:meta])* $pf:ident: $pt:ty = $($len:tt)+)?
+            })? $(by $k:ident)?: $label:tt,
+                reply $reply:tt, replay $replay:ident, journal $journal:ident;
         )*}
         framing {$(
-            $(#[$fdoc:meta])*
+            $(#[$fdoc2:meta])*
             $fid:ident = $fwire:literal, in_session $in:ident, $why:literal;
         )*}
     ) => {
+        $(#[$rdoc])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Request {
+            $(#[$idoc])*
+            $init { $(#[$imdoc])* $module: $mt },
+            $(
+                $(#[$doc])*
+                $id $({ $($(#[$fdoc])* $f: $t,)+ $($(#[$pdoc])* $pf: $pt,)? })?,
+            )*
+        }
+
         /// The remote-API function selector carried in the first 4 bytes of
         /// every request (paper §III: "the first 32 bits of the request
         /// identify the specific CUDA function called").
@@ -97,8 +127,20 @@ macro_rules! call_table {
         #[repr(u32)]
         pub enum FunctionId {
             $($(#[$doc])* $id = $wire,)*
-            $($(#[$fdoc])* $fid = $fwire,)*
+            $($(#[$fdoc2])* $fid = $fwire,)*
         }
+
+        /// The longest request head: selector plus fixed fields.
+        pub(crate) const LONGEST_HEAD: usize = {
+            let mut longest = 0;
+            $(
+                let head = 4 + call_table!(@fixed $($($t),+ $(; $($len)+)?)?);
+                if head > longest {
+                    longest = head;
+                }
+            )*
+            longest
+        };
 
         impl FunctionId {
             /// All defined ids (for exhaustive round-trip tests).
@@ -132,11 +174,27 @@ macro_rules! call_table {
             pub fn body(self) -> Option<Body> {
                 match self {
                     $(FunctionId::$id => Some(Body {
-                        fixed: $body,
-                        payload: call_table!(@has $($x)?),
+                        fixed: call_table!(@fixed $($($t),+ $(; $($len)+)?)?) as u32,
+                        payload: call_table!(@has $($($pf)?)?),
                     }),)*
                     _ => None,
                 }
+            }
+
+            /// The length of the bulk payload announced by a complete fixed
+            /// `body` (the bytes after the selector), or `None` when none
+            /// follows. Rejects the same field values the reader does.
+            #[allow(unused_variables)]
+            #[inline]
+            pub(crate) fn tail_len(self, mut body: &[u8]) -> io::Result<Option<usize>> {
+                let r = &mut body;
+                Ok(match self {
+                    $(FunctionId::$id => {
+                        $($(let $f = <$t as Field>::get(r)?;)+)?
+                        call_table!(@tail_len r $($($($len)+)?)?)
+                    })*
+                    _ => None,
+                })
             }
 
             /// Whether this selector may head a frame once the session is
@@ -171,7 +229,7 @@ macro_rules! call_table {
             pub fn function_id(&self) -> Option<FunctionId> {
                 match self {
                     Request::$init { .. } => None,
-                    $(Request::$req { .. } => Some(FunctionId::$id),)*
+                    $(Request::$id { .. } => Some(FunctionId::$id),)*
                 }
             }
 
@@ -183,7 +241,7 @@ macro_rules! call_table {
             pub fn op_name(&self) -> &'static str {
                 match self {
                     Request::$init { .. } => Self::INIT_LABEL,
-                    $(call_table!(@pat $req $($k)?) => call_table!(@label [$($k)?] $label),)*
+                    $(call_table!(@pat $id $($k)?) => call_table!(@label [$($k)?] $label),)*
                 }
             }
 
@@ -191,7 +249,7 @@ macro_rules! call_table {
             pub fn reply_shape(&self) -> ReplyShape {
                 match self {
                     Request::$init { .. } => ReplyShape::$init_reply,
-                    $(call_table!(@pat $req $($k)?) => call_table!(@reply [$($k)?] $reply),)*
+                    $(call_table!(@pat $id $($k)?) => call_table!(@reply [$($k)?] $reply),)*
                 }
             }
 
@@ -201,7 +259,7 @@ macro_rules! call_table {
             pub fn replayable(&self) -> bool {
                 match self {
                     Request::$init { .. } => call_table!(@bool $init_replay),
-                    $(Request::$req { .. } => call_table!(@bool $replay),)*
+                    $(Request::$id { .. } => call_table!(@bool $replay),)*
                 }
             }
 
@@ -210,22 +268,91 @@ macro_rules! call_table {
             pub fn journaled(&self) -> bool {
                 match self {
                     Request::$init { .. } => false,
-                    $(call_table!(@pat $req $($k)?) => call_table!(@journal [$($k)?] $journal),)*
+                    $(call_table!(@pat $id $($k)?) => call_table!(@journal [$($k)?] $journal),)*
                 }
             }
 
-            /// Wire bytes before any bulk payload: the selector plus the
-            /// fixed fields.
-            pub(crate) fn head_bytes(&self) -> u64 {
+            /// Write the selector and the fixed fields (for `Init`, the
+            /// module length word): everything before the payload.
+            #[inline]
+            pub(crate) fn write_head<W: Write>(&self, w: &mut W) -> io::Result<()> {
                 match self {
-                    Request::$init { .. } => $init_body,
-                    $(Request::$req { .. } => 4 + $body,)*
+                    Request::$init { $module } => put_u32(w, $module.len() as u32),
+                    $(Request::$id $({ $($f,)+ $($pf,)? })? => {
+                        put_u32(w, FunctionId::$id.as_u32())?;
+                        $($(Field::put($f, w)?;)+ $(call_table!(@put_len w $pf $($len)+);)?)?
+                        Ok(())
+                    })*
                 }
+            }
+
+            /// The bulk payload that follows the head, if any.
+            #[inline]
+            pub(crate) fn payload(&self) -> Option<&[u8]> {
+                match self {
+                    Request::$init { $module } => Some(&$module[..]),
+                    $(Request::$id { $($($pf,)?)? .. } => {
+                        call_table!(@payload $($($pf $($len)+)?)?)
+                    })*
+                }
+            }
+
+            /// Read the body of a request whose selector has already been
+            /// consumed, decoding the codec's `[enc_len][bytes]` payload
+            /// framing when a codec was negotiated and landing payload bytes
+            /// (memcpy data, launch regions) in buffers recycled from `pool`
+            /// when one is given. The returned request always holds
+            /// *decompressed* payloads — dispatch and GPU code never see a
+            /// compressed variant.
+            pub fn read_with_id_codec<R: Read>(
+                id: FunctionId,
+                r: &mut R,
+                pool: Option<&BufferPool>,
+                codec: Option<&Codec>,
+            ) -> io::Result<Request> {
+                Ok(match id {
+                    $(FunctionId::$id => {
+                        $(
+                            $(let $f = <$t as Field>::get(r)?;)+
+                            $(let $pf = call_table!(@read_tail r pool codec $($len)+);)?
+                        )?
+                        Request::$id $({ $($f,)+ $($pf)? })?
+                    })*
+                    framing => return Err(framing.misplaced()),
+                })
             }
         }
     };
-    (@pat $req:ident) => { Request::$req { .. } };
-    (@pat $req:ident $k:ident) => { Request::$req { $k, .. } };
+    (@fixed $($t:ty),* $(; $($len:tt)+)?) => {
+        (0 $(+ <$t as Field>::WIDTH)* $(+ call_table!(@word_width $($len)+))?)
+    };
+    (@word_width word) => { 4 };
+    (@word_width $($len:tt)+) => { 0 };
+    (@put_len $w:ident $pf:ident word) => { put_u32($w, $pf.len() as u32)? };
+    (@put_len $w:ident $pf:ident $lf:ident if $gate:ident($gf:ident)) => {
+        debug_assert!($pf.as_ref().is_none_or(|d| d.len() == *$lf as usize))
+    };
+    (@payload) => { None };
+    (@payload $pf:ident word) => { Some(&$pf[..]) };
+    (@payload $pf:ident $($len:tt)+) => { $pf.as_deref() };
+    (@tail_len $r:ident) => { None };
+    (@tail_len $r:ident word) => { Some(get_u32($r)? as usize) };
+    (@tail_len $r:ident $lf:ident if $gate:ident($gf:ident)) => {
+        $gate($gf).then_some($lf as usize)
+    };
+    (@read_tail $r:ident $pool:ident $codec:ident word) => {{
+        let len = get_u32($r)?;
+        read_tail($r, len as usize, $pool, $codec)?
+    }};
+    (@read_tail $r:ident $pool:ident $codec:ident $lf:ident if $gate:ident($gf:ident)) => {
+        if $gate($gf) {
+            Some(read_tail($r, $lf as usize, $pool, $codec)?)
+        } else {
+            None
+        }
+    };
+    (@pat $id:ident) => { Request::$id { .. } };
+    (@pat $id:ident $k:ident) => { Request::$id { $k, .. } };
     (@label [$k:ident] [$($l:literal),*]) => { [$($l),*][*$k as usize] };
     (@label [] $l:literal) => { $l };
     (@reply [$k:ident] [$($r:ident),*]) => { [$(ReplyShape::$r),*][*$k as usize] };
@@ -236,7 +363,7 @@ macro_rules! call_table {
         matches!(*$k, MemcpyKind::HostToDevice | MemcpyKind::DeviceToDevice)
     };
     (@has) => { false };
-    (@has $x:ident) => { true };
+    (@has $pf:ident) => { true };
     (@bool yes) => { true };
     (@bool no) => { false };
 }
@@ -247,61 +374,95 @@ macro_rules! call_table {
 // in full by re-initialization. Journal: every successful call that shapes
 // the context the failover replay must rebuild; reads and waits do not.
 call_table! {
-    init Init: "initialization", body 4 + x, reply Ack, replay yes, journal never;
+    /// A remote CUDA call as it travels client → server.
+    ///
+    /// `Init` is the only message without a leading function id: it is the
+    /// first (and only) thing the client sends during the initialization
+    /// handshake, so no selector is needed (Table I's Initialization row
+    /// counts `x + 4` sent bytes — size + module only).
+    init {
+        /// Initialization stage: ship the GPU module (kernels + statically
+        /// allocated variables).
+        Init { module: Vec<u8> }: "initialization",
+            reply Ack, replay yes, journal never;
+    }
     calls {
-        /// `cudaMalloc`
-        Malloc = 1 => Malloc: "cudaMalloc",
-            body 4, reply Malloc, replay no, journal always;
-        /// `cudaFree`
-        Free = 2 => Free: "cudaFree",
-            body 4, reply Ack, replay no, journal always;
-        /// `cudaMemcpy` (direction given by the `kind` field)
-        Memcpy = 3 => Memcpy by kind:
-            ["cudaMemcpyH2H", "cudaMemcpyH2D", "cudaMemcpyD2H", "cudaMemcpyD2D"],
-            body 16 + x, reply [Ack, Ack, MemcpyToHost, Ack], replay yes, journal writes_device;
-        /// `cudaLaunch`
-        Launch = 4 => Launch: "cudaLaunch",
-            body 44 + x, reply Ack, replay no, journal always;
-        /// `cudaThreadSynchronize`
-        ThreadSynchronize = 5 => ThreadSynchronize: "cudaThreadSynchronize",
-            body 0, reply Ack, replay yes, journal never;
-        /// `cudaGetDeviceProperties` (extension)
-        DeviceProps = 16 => DeviceProps: "cudaGetDeviceProperties",
-            body 0, reply DeviceProps, replay yes, journal never;
-        /// `cudaStreamCreate` (extension)
-        StreamCreate = 17 => StreamCreate: "cudaStreamCreate",
-            body 0, reply StreamCreate, replay no, journal always;
-        /// `cudaStreamSynchronize` (extension)
-        StreamSynchronize = 18 => StreamSynchronize: "cudaStreamSynchronize",
-            body 4, reply Ack, replay yes, journal never;
-        /// `cudaStreamDestroy` (extension)
-        StreamDestroy = 19 => StreamDestroy: "cudaStreamDestroy",
-            body 4, reply Ack, replay no, journal always;
-        /// `cudaMemcpyAsync` (extension)
-        MemcpyAsync = 20 => MemcpyAsync by kind:
-            ["cudaMemcpyAsyncH2H", "cudaMemcpyAsyncH2D", "cudaMemcpyAsyncD2H", "cudaMemcpyAsyncD2D"],
-            body 20 + x, reply [Ack, Ack, MemcpyToHost, Ack], replay yes, journal writes_device;
-        /// `cudaMemset` (extension)
-        Memset = 21 => Memset: "cudaMemset",
-            body 12, reply Ack, replay yes, journal always;
-        /// `cudaEventCreate` (extension)
-        EventCreate = 22 => EventCreate: "cudaEventCreate",
-            body 0, reply EventCreate, replay no, journal always;
-        /// `cudaEventRecord` (extension)
-        EventRecord = 23 => EventRecord: "cudaEventRecord",
-            body 8, reply Ack, replay no, journal always;
-        /// `cudaEventSynchronize` (extension)
-        EventSynchronize = 24 => EventSynchronize: "cudaEventSynchronize",
-            body 4, reply Ack, replay yes, journal never;
-        /// `cudaEventElapsedTime` (extension)
-        EventElapsed = 25 => EventElapsed: "cudaEventElapsedTime",
-            body 8, reply EventElapsed, replay yes, journal never;
-        /// `cudaEventDestroy` (extension)
-        EventDestroy = 26 => EventDestroy: "cudaEventDestroy",
-            body 4, reply Ack, replay no, journal always;
-        /// Finalization stage: client is closing the socket.
-        Quit = 255 => Quit: "finalization",
-            body 0, reply Ack, replay no, journal never;
+        /// `cudaMalloc(size)`.
+        Malloc = 1 { size: u32 }: "cudaMalloc",
+            reply Malloc, replay no, journal always;
+        /// `cudaFree(ptr)`.
+        Free = 2 { ptr: DevicePtr }: "cudaFree",
+            reply Ack, replay no, journal always;
+        /// `cudaMemcpy`. For host→device, `data` carries the payload and
+        /// `size` equals its length. For device→host, `data` is `None` and
+        /// `size` is the number of bytes requested back.
+        Memcpy = 3 {
+            /// Destination address (device pointer for H2D, host cookie for D2H).
+            dst: u32,
+            /// Source address (host cookie for H2D, device pointer for D2H).
+            src: u32,
+            /// Transfer size in bytes.
+            size: u32,
+            /// Direction.
+            kind: MemcpyKind;
+            /// Payload (present only when the data flows client → server).
+            data: Option<Payload> = size if wire_carries_payload(kind)
+        } by kind: ["cudaMemcpyH2H", "cudaMemcpyH2D", "cudaMemcpyD2H", "cudaMemcpyD2D"],
+            reply [Ack, Ack, MemcpyToHost, Ack], replay yes, journal writes_device;
+        /// `cudaLaunch`. `region` is Table I's `x`: the NUL-terminated kernel
+        /// name followed by the packed argument block at
+        /// `config.parameters_offset`. Its length travels as a word after
+        /// the configuration.
+        Launch = 4 { config: LaunchConfig; region: Payload = word }: "cudaLaunch",
+            reply Ack, replay no, journal always;
+        /// `cudaThreadSynchronize`.
+        ThreadSynchronize = 5: "cudaThreadSynchronize",
+            reply Ack, replay yes, journal never;
+        /// `cudaGetDeviceProperties` (extension).
+        DeviceProps = 16: "cudaGetDeviceProperties",
+            reply DeviceProps, replay yes, journal never;
+        /// `cudaStreamCreate` (extension).
+        StreamCreate = 17: "cudaStreamCreate",
+            reply StreamCreate, replay no, journal always;
+        /// `cudaStreamSynchronize` (extension).
+        StreamSynchronize = 18 { stream: u32 }: "cudaStreamSynchronize",
+            reply Ack, replay yes, journal never;
+        /// `cudaStreamDestroy` (extension).
+        StreamDestroy = 19 { stream: u32 }: "cudaStreamDestroy",
+            reply Ack, replay no, journal always;
+        /// `cudaMemcpyAsync` (extension; adds a stream field to `Memcpy`).
+        MemcpyAsync = 20 {
+            dst: u32,
+            src: u32,
+            size: u32,
+            kind: MemcpyKind,
+            stream: u32;
+            data: Option<Payload> = size if wire_carries_payload(kind)
+        } by kind: [
+            "cudaMemcpyAsyncH2H", "cudaMemcpyAsyncH2D", "cudaMemcpyAsyncD2H", "cudaMemcpyAsyncD2D"
+        ], reply [Ack, Ack, MemcpyToHost, Ack], replay yes, journal writes_device;
+        /// `cudaMemset(dst, value, size)` (extension; `value` is the byte
+        /// pattern, carried in a 4-byte field like every other scalar).
+        Memset = 21 { dst: u32, value: u32, size: u32 }: "cudaMemset",
+            reply Ack, replay yes, journal always;
+        /// `cudaEventCreate` (extension).
+        EventCreate = 22: "cudaEventCreate",
+            reply EventCreate, replay no, journal always;
+        /// `cudaEventRecord(event, stream)` (extension).
+        EventRecord = 23 { event: u32, stream: u32 }: "cudaEventRecord",
+            reply Ack, replay no, journal always;
+        /// `cudaEventSynchronize(event)` (extension).
+        EventSynchronize = 24 { event: u32 }: "cudaEventSynchronize",
+            reply Ack, replay yes, journal never;
+        /// `cudaEventElapsedTime(start, end)` (extension).
+        EventElapsed = 25 { start: u32, end: u32 }: "cudaEventElapsedTime",
+            reply EventElapsed, replay yes, journal never;
+        /// `cudaEventDestroy(event)` (extension).
+        EventDestroy = 26 { event: u32 }: "cudaEventDestroy",
+            reply Ack, replay no, journal always;
+        /// Finalization stage: orderly connection shutdown.
+        Quit = 255: "finalization",
+            reply Ack, replay no, journal never;
     }
     framing {
         /// A batch frame: one length-prefixed message packing N consecutive
@@ -379,6 +540,20 @@ impl MemcpyKind {
 
     pub const fn as_u32(self) -> u32 {
         self as u32
+    }
+}
+
+impl Field for MemcpyKind {
+    const WIDTH: usize = 4;
+
+    #[inline]
+    fn put<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        put_u32(w, self.as_u32())
+    }
+
+    #[inline]
+    fn get<R: Read>(r: &mut R) -> io::Result<Self> {
+        MemcpyKind::from_u32(get_u32(r)?).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
     }
 }
 

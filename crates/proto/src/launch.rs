@@ -5,7 +5,11 @@
 //! dimension (8), shared size (4), stream (4), kernel name (x). This module
 //! carries everything but the function id and the name region.
 
+use std::io::{self, Read, Write};
+
 use rcuda_core::Dim3;
+
+use crate::wire::{get_array, put_u32, Field};
 
 /// Fixed-size portion of a `cudaLaunch` request after the function id:
 /// 4+4+4+12+8+4+4 = 40 bytes; with the 4-byte id that is the `44` of
@@ -49,31 +53,34 @@ impl LaunchConfig {
             stream: 0,
         }
     }
+}
 
-    /// Encode the fixed 40-byte portion.
-    pub fn to_wire(&self) -> [u8; LAUNCH_FIXED_BYTES as usize] {
-        let mut out = [0u8; LAUNCH_FIXED_BYTES as usize];
-        out[0..4].copy_from_slice(&self.texture_offset.to_le_bytes());
-        out[4..8].copy_from_slice(&self.parameters_offset.to_le_bytes());
-        out[8..12].copy_from_slice(&self.num_textures.to_le_bytes());
-        out[12..24].copy_from_slice(&self.block.to_wire12());
-        out[24..32].copy_from_slice(&self.grid.to_wire8());
-        out[32..36].copy_from_slice(&self.shared_bytes.to_le_bytes());
-        out[36..40].copy_from_slice(&self.stream.to_le_bytes());
-        out
+/// The fixed 40-byte portion, in Table I's field order.
+impl Field for LaunchConfig {
+    const WIDTH: usize = LAUNCH_FIXED_BYTES as usize;
+
+    fn put<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        put_u32(w, self.texture_offset)?;
+        put_u32(w, self.parameters_offset)?;
+        put_u32(w, self.num_textures)?;
+        w.write_all(&self.block.to_wire12())?;
+        w.write_all(&self.grid.to_wire8())?;
+        put_u32(w, self.shared_bytes)?;
+        put_u32(w, self.stream)
     }
 
-    /// Decode the fixed 40-byte portion.
-    pub fn from_wire(b: [u8; LAUNCH_FIXED_BYTES as usize]) -> Self {
-        LaunchConfig {
-            texture_offset: u32::from_le_bytes(b[0..4].try_into().unwrap()),
-            parameters_offset: u32::from_le_bytes(b[4..8].try_into().unwrap()),
-            num_textures: u32::from_le_bytes(b[8..12].try_into().unwrap()),
-            block: Dim3::from_wire12(b[12..24].try_into().unwrap()),
-            grid: Dim3::from_wire8(b[24..32].try_into().unwrap()),
-            shared_bytes: u32::from_le_bytes(b[32..36].try_into().unwrap()),
-            stream: u32::from_le_bytes(b[36..40].try_into().unwrap()),
-        }
+    fn get<R: Read>(r: &mut R) -> io::Result<Self> {
+        let b: [u8; LAUNCH_FIXED_BYTES as usize] = get_array(r)?;
+        let word = |at: usize| u32::from_le_bytes(b[at..at + 4].try_into().expect("4 bytes"));
+        Ok(LaunchConfig {
+            texture_offset: word(0),
+            parameters_offset: word(4),
+            num_textures: word(8),
+            block: Dim3::from_wire12(b[12..24].try_into().expect("12 bytes")),
+            grid: Dim3::from_wire8(b[24..32].try_into().expect("8 bytes")),
+            shared_bytes: word(32),
+            stream: word(36),
+        })
     }
 }
 
@@ -87,10 +94,17 @@ impl Default for LaunchConfig {
 mod tests {
     use super::*;
 
+    fn round_trip(cfg: &LaunchConfig) -> LaunchConfig {
+        let mut wire = Vec::new();
+        cfg.put(&mut wire).unwrap();
+        assert_eq!(wire.len(), LaunchConfig::WIDTH);
+        LaunchConfig::get(&mut &wire[..]).unwrap()
+    }
+
     #[test]
     fn fixed_portion_is_40_bytes() {
         // With the 4-byte function id this reproduces Table I's "x + 44".
-        assert_eq!(LaunchConfig::default().to_wire().len(), 40);
+        assert_eq!(LaunchConfig::WIDTH, 40);
     }
 
     #[test]
@@ -104,7 +118,7 @@ mod tests {
             shared_bytes: 4096,
             stream: 7,
         };
-        assert_eq!(LaunchConfig::from_wire(cfg.to_wire()), cfg);
+        assert_eq!(round_trip(&cfg), cfg);
     }
 
     #[test]
@@ -114,7 +128,7 @@ mod tests {
             grid: Dim3::new(4, 5, 6),
             ..Default::default()
         };
-        let rt = LaunchConfig::from_wire(cfg.to_wire());
+        let rt = round_trip(&cfg);
         assert_eq!(rt.grid, Dim3::xy(4, 5));
     }
 }

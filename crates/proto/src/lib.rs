@@ -9,9 +9,11 @@
 //! This crate implements:
 //!
 //! * the call table ([`ids`]): one row per selector giving the call's
-//!   [`FunctionId`], [`Request`] variant, observability label, body bytes,
-//!   reply shape and retry/journal class — adding a call is one row there
-//!   plus its reader, writer and dispatch arms,
+//!   [`FunctionId`], its [`Request`] variant with the fixed fields in wire
+//!   order and any bulk payload, observability label, reply shape and
+//!   retry/journal class; the enum, its stack-built head and its reader are
+//!   generated from the rows, so adding a fixed-body call is one row there
+//!   plus its dispatch arm in the server,
 //! * the exact field layouts of Table I ([`request`], [`response`]),
 //! * streaming encode/decode over any `Read`/`Write` pair ([`wire`]),
 //! * the message-size accounting that reproduces Table I ([`sizes`]),

@@ -36,7 +36,7 @@
 //! servers cannot misparse it). The server answers [`MuxChallenge`] with a
 //! nonce; the client proves possession of the shared token with an
 //! HMAC-SHA256 over both nonces ([`MuxAuth`]); the server accepts or
-//! rejects with [`MuxAccept`]. Framing starts immediately after. See
+//! rejects with a 4-byte result code ([`write_mux_accept`]). Framing starts immediately after. See
 //! [`crate::secure`] for the MAC and the negotiated cipher.
 
 use std::io::{self, Read, Write};

@@ -9,9 +9,10 @@
 //!
 //! * **Encode** never needs ownership: [`Request::write`] only borrows the
 //!   bytes (`Payload` derefs to `[u8]`), and the client's synchronous H2D
-//!   fast path skips `Request` construction entirely, writing the header
-//!   and the caller's borrowed slice with one vectored write.
-//! * **Decode** can recycle: [`Request::read_with_id_pooled`] and friends
+//!   fast path builds a data-less `Request` only for its stack-built
+//!   [`crate::Request::head`], writing that and the caller's borrowed slice with
+//!   one vectored write.
+//! * **Decode** can recycle: [`Request::read_with_id_codec`] and friends
 //!   take an optional [`BufferPool`] and land payload bytes in a
 //!   [`PooledBuf`] that returns to the pool on drop, so a steady-state
 //!   memcpy loop allocates nothing after warm-up (asserted by the
@@ -31,7 +32,7 @@
 //! depends on.
 //!
 //! [`Request::write`]: crate::Request::write
-//! [`Request::read_with_id_pooled`]: crate::Request::read_with_id_pooled
+//! [`Request::read_with_id_codec`]: crate::Request::read_with_id_codec
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};

@@ -1,86 +1,53 @@
 //! Request messages (client → server), field-for-field per Table I.
+//!
+//! The [`Request`] enum, its stack-built heads and its reader are generated
+//! from the call table ([`crate::ids`]). This module holds what the table
+//! cannot say: the positional `Init` reader, the payload tail every bulk
+//! call shares (codec block or raw bytes), and the launch helpers.
 
 use std::io::{self, Read, Write};
+use std::ops::Deref;
 
-use rcuda_core::{CudaError, DevicePtr};
+use rcuda_core::CudaError;
 
 use crate::codec::Codec;
-use crate::ids::{FunctionId, MemcpyKind};
-use crate::launch::{LaunchConfig, LAUNCH_FIXED_BYTES};
+use crate::ids::{FunctionId, MemcpyKind, LONGEST_HEAD};
+use crate::launch::LaunchConfig;
 use crate::payload::{BufferPool, Payload};
-use crate::wire::{get_array, get_bytes, get_u32, put_bytes, put_u32, read_payload};
+use crate::wire::{get_bytes, get_u32, put_bytes, read_payload};
 
-/// A remote CUDA call as it travels client → server.
-///
-/// `Init` is the only message without a leading function id: it is the first
-/// (and only) thing the client sends during the initialization handshake, so
-/// no selector is needed (Table I's Initialization row counts `x + 4` sent
-/// bytes — size + module only).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Initialization stage: ship the GPU module (kernels + statically
-    /// allocated variables).
-    Init { module: Vec<u8> },
-    /// `cudaMalloc(size)`.
-    Malloc { size: u32 },
-    /// `cudaFree(ptr)`.
-    Free { ptr: DevicePtr },
-    /// `cudaMemcpy`. For host→device, `data` carries the payload and `size`
-    /// equals its length. For device→host, `data` is `None` and `size` is
-    /// the number of bytes requested back.
-    Memcpy {
-        /// Destination address (device pointer for H2D, host cookie for D2H).
-        dst: u32,
-        /// Source address (host cookie for H2D, device pointer for D2H).
-        src: u32,
-        /// Transfer size in bytes.
-        size: u32,
-        /// Direction.
-        kind: MemcpyKind,
-        /// Payload (present only when the data flows client → server).
-        data: Option<Payload>,
-    },
-    /// `cudaLaunch`. `region` is Table I's `x`: the NUL-terminated kernel
-    /// name followed by the packed argument block at
-    /// `config.parameters_offset`.
-    Launch {
-        config: LaunchConfig,
-        region: Payload,
-    },
-    /// `cudaThreadSynchronize`.
-    ThreadSynchronize,
-    /// `cudaGetDeviceProperties` (extension).
-    DeviceProps,
-    /// `cudaStreamCreate` (extension).
-    StreamCreate,
-    /// `cudaStreamSynchronize` (extension).
-    StreamSynchronize { stream: u32 },
-    /// `cudaStreamDestroy` (extension).
-    StreamDestroy { stream: u32 },
-    /// `cudaMemcpyAsync` (extension; adds a stream field to `Memcpy`).
-    MemcpyAsync {
-        dst: u32,
-        src: u32,
-        size: u32,
-        kind: MemcpyKind,
-        stream: u32,
-        data: Option<Payload>,
-    },
-    /// `cudaMemset(dst, value, size)` (extension; `value` is the byte
-    /// pattern, carried in a 4-byte field like every other scalar).
-    Memset { dst: u32, value: u32, size: u32 },
-    /// `cudaEventCreate` (extension).
-    EventCreate,
-    /// `cudaEventRecord(event, stream)` (extension).
-    EventRecord { event: u32, stream: u32 },
-    /// `cudaEventSynchronize(event)` (extension).
-    EventSynchronize { event: u32 },
-    /// `cudaEventElapsedTime(start, end)` (extension).
-    EventElapsed { start: u32, end: u32 },
-    /// `cudaEventDestroy(event)` (extension).
-    EventDestroy { event: u32 },
-    /// Finalization stage: orderly connection shutdown.
-    Quit,
+pub use crate::ids::Request;
+
+/// A request's selector and fixed fields, laid out on the stack exactly as
+/// they go on the wire (see [`Request::head`]). Derefs to those bytes; as a
+/// writer it takes one more word (the codec's `enc_len` ahead of a borrowed
+/// payload).
+#[derive(Debug)]
+pub struct Head {
+    /// Room for the longest head plus one appended word.
+    buf: [u8; LONGEST_HEAD + 4],
+    len: usize,
+}
+
+impl Write for Head {
+    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+        let n = bytes.len().min(self.buf.len() - self.len);
+        self.buf[self.len..self.len + n].copy_from_slice(&bytes[..n]);
+        self.len += n;
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Deref for Head {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
 }
 
 impl Request {
@@ -161,15 +128,26 @@ impl Request {
     /// region incrementally off the socket. The canonical `x+44` accounting
     /// used to regenerate Table I lives in [`crate::sizes`].
     pub fn wire_bytes(&self) -> u64 {
-        let payload = match self {
-            Request::Init { module } => module.len(),
-            Request::Memcpy { data, .. } | Request::MemcpyAsync { data, .. } => {
-                data.as_ref().map_or(0, |d| d.len())
-            }
-            Request::Launch { region, .. } => region.len(),
-            _ => 0,
+        let fixed = self
+            .function_id()
+            .and_then(FunctionId::body)
+            .map_or(0, |b| b.fixed);
+        // The selector (for `Init`, the module length word), the fixed
+        // fields, then the payload.
+        4 + fixed as u64 + self.payload().map_or(0, <[u8]>::len) as u64
+    }
+
+    /// The selector and fixed fields exactly as [`Request::write`] sends
+    /// them (for `Init`, the module length word), built on the stack. A
+    /// memcpy built with `data: None` gives the head of a borrowed send
+    /// whose payload travels as a separate slice.
+    pub fn head(&self) -> Head {
+        let mut head = Head {
+            buf: [0; LONGEST_HEAD + 4],
+            len: 0,
         };
-        self.head_bytes() + payload as u64
+        self.write_head(&mut head).expect("the longest head fits");
+        head
     }
 
     /// Serialize onto the wire (legacy framing: payloads travel raw).
@@ -185,96 +163,12 @@ impl Request {
     /// earlier: deferred/batched requests hold raw payloads, so
     /// [`Request::wire_bytes`] keeps its logical Table I accounting.
     pub fn write_codec<W: Write>(&self, w: &mut W, codec: Option<&Codec>) -> io::Result<()> {
-        if let Some(id) = self.function_id() {
-            put_u32(w, id.as_u32())?;
+        self.write_head(w)?;
+        match (self, self.payload(), codec) {
+            (_, None, _) => Ok(()),
+            (Request::Init { .. }, Some(tail), _) | (_, Some(tail), None) => put_bytes(w, tail),
+            (_, Some(tail), Some(c)) => c.write_block(w, tail).map(drop),
         }
-        match self {
-            Request::Init { module } => {
-                put_u32(w, module.len() as u32)?;
-                put_bytes(w, module)?;
-            }
-            Request::Malloc { size } => put_u32(w, *size)?,
-            Request::Free { ptr } => put_u32(w, ptr.addr())?,
-            Request::Memcpy {
-                dst,
-                src,
-                size,
-                kind,
-                data,
-            } => {
-                put_u32(w, *dst)?;
-                put_u32(w, *src)?;
-                put_u32(w, *size)?;
-                put_u32(w, kind.as_u32())?;
-                if let Some(d) = data {
-                    debug_assert_eq!(d.len() as u32, *size);
-                    match codec {
-                        Some(c) => {
-                            c.write_block(w, d)?;
-                        }
-                        None => put_bytes(w, d)?,
-                    }
-                }
-            }
-            Request::Launch { config, region } => {
-                put_bytes(w, &config.to_wire())?;
-                put_u32(w, region.len() as u32)?;
-                match codec {
-                    Some(c) => {
-                        c.write_block(w, region)?;
-                    }
-                    None => put_bytes(w, region)?,
-                }
-            }
-            Request::ThreadSynchronize
-            | Request::DeviceProps
-            | Request::StreamCreate
-            | Request::EventCreate
-            | Request::Quit => {}
-            Request::StreamSynchronize { stream } | Request::StreamDestroy { stream } => {
-                put_u32(w, *stream)?;
-            }
-            Request::Memset { dst, value, size } => {
-                put_u32(w, *dst)?;
-                put_u32(w, *value)?;
-                put_u32(w, *size)?;
-            }
-            Request::EventRecord { event, stream } => {
-                put_u32(w, *event)?;
-                put_u32(w, *stream)?;
-            }
-            Request::EventSynchronize { event } | Request::EventDestroy { event } => {
-                put_u32(w, *event)?;
-            }
-            Request::EventElapsed { start, end } => {
-                put_u32(w, *start)?;
-                put_u32(w, *end)?;
-            }
-            Request::MemcpyAsync {
-                dst,
-                src,
-                size,
-                kind,
-                stream,
-                data,
-            } => {
-                put_u32(w, *dst)?;
-                put_u32(w, *src)?;
-                put_u32(w, *size)?;
-                put_u32(w, kind.as_u32())?;
-                put_u32(w, *stream)?;
-                if let Some(d) = data {
-                    debug_assert_eq!(d.len() as u32, *size);
-                    match codec {
-                        Some(c) => {
-                            c.write_block(w, d)?;
-                        }
-                        None => put_bytes(w, d)?,
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Read the initialization request (the one message with no selector).
@@ -289,117 +183,7 @@ impl Request {
         let raw = get_u32(r)?;
         let id =
             FunctionId::from_u32(raw).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        Self::read_with_id(id, r)
-    }
-
-    /// Read the body of a request whose selector has already been consumed
-    /// (used by [`crate::batch::Frame::read`], which peeks at the selector to
-    /// decide between a single request and a batch).
-    pub fn read_with_id<R: Read>(id: FunctionId, r: &mut R) -> io::Result<Request> {
-        Self::read_with_id_pooled(id, r, None)
-    }
-
-    /// Like [`Request::read_with_id`], but landing payload bytes (memcpy
-    /// data, launch regions) in buffers recycled from `pool` when one is
-    /// given — the server worker's zero-allocation receive path.
-    pub fn read_with_id_pooled<R: Read>(
-        id: FunctionId,
-        r: &mut R,
-        pool: Option<&BufferPool>,
-    ) -> io::Result<Request> {
-        Self::read_with_id_codec(id, r, pool, None)
-    }
-
-    /// Like [`Request::read_with_id_pooled`], additionally decoding the
-    /// codec's `[enc_len][bytes]` payload framing when a codec was
-    /// negotiated. The returned request always holds *decompressed*
-    /// payloads — dispatch and GPU code never see a compressed variant.
-    pub fn read_with_id_codec<R: Read>(
-        id: FunctionId,
-        r: &mut R,
-        pool: Option<&BufferPool>,
-        codec: Option<&Codec>,
-    ) -> io::Result<Request> {
-        Ok(match id {
-            FunctionId::Malloc => Request::Malloc { size: get_u32(r)? },
-            FunctionId::Free => Request::Free {
-                ptr: DevicePtr::new(get_u32(r)?),
-            },
-            FunctionId::Memcpy => {
-                let dst = get_u32(r)?;
-                let src = get_u32(r)?;
-                let size = get_u32(r)?;
-                let kind = MemcpyKind::from_u32(get_u32(r)?)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-                let data = if wire_carries_payload(kind) {
-                    Some(read_block_or_payload(r, size as usize, pool, codec)?)
-                } else {
-                    None
-                };
-                Request::Memcpy {
-                    dst,
-                    src,
-                    size,
-                    kind,
-                    data,
-                }
-            }
-            FunctionId::Launch => {
-                let fixed: [u8; LAUNCH_FIXED_BYTES as usize] = get_array(r)?;
-                let config = LaunchConfig::from_wire(fixed);
-                let region_len = get_u32(r)? as usize;
-                let region = read_block_or_payload(r, region_len, pool, codec)?;
-                Request::Launch { config, region }
-            }
-            FunctionId::ThreadSynchronize => Request::ThreadSynchronize,
-            FunctionId::DeviceProps => Request::DeviceProps,
-            FunctionId::StreamCreate => Request::StreamCreate,
-            FunctionId::StreamSynchronize => Request::StreamSynchronize {
-                stream: get_u32(r)?,
-            },
-            FunctionId::StreamDestroy => Request::StreamDestroy {
-                stream: get_u32(r)?,
-            },
-            FunctionId::MemcpyAsync => {
-                let dst = get_u32(r)?;
-                let src = get_u32(r)?;
-                let size = get_u32(r)?;
-                let kind = MemcpyKind::from_u32(get_u32(r)?)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-                let stream = get_u32(r)?;
-                let data = if wire_carries_payload(kind) {
-                    Some(read_block_or_payload(r, size as usize, pool, codec)?)
-                } else {
-                    None
-                };
-                Request::MemcpyAsync {
-                    dst,
-                    src,
-                    size,
-                    kind,
-                    stream,
-                    data,
-                }
-            }
-            FunctionId::Memset => Request::Memset {
-                dst: get_u32(r)?,
-                value: get_u32(r)?,
-                size: get_u32(r)?,
-            },
-            FunctionId::EventCreate => Request::EventCreate,
-            FunctionId::EventRecord => Request::EventRecord {
-                event: get_u32(r)?,
-                stream: get_u32(r)?,
-            },
-            FunctionId::EventSynchronize => Request::EventSynchronize { event: get_u32(r)? },
-            FunctionId::EventElapsed => Request::EventElapsed {
-                start: get_u32(r)?,
-                end: get_u32(r)?,
-            },
-            FunctionId::EventDestroy => Request::EventDestroy { event: get_u32(r)? },
-            FunctionId::Quit => Request::Quit,
-            framing => return Err(framing.misplaced()),
-        })
+        Self::read_with_id_codec(id, r, None, None)
     }
 }
 
@@ -412,7 +196,7 @@ pub fn wire_carries_payload(kind: MemcpyKind) -> bool {
 /// Read one bulk payload of logical length `raw_len`: through the codec's
 /// `[enc_len][bytes]` framing on codec sessions, straight off the wire on
 /// legacy ones.
-fn read_block_or_payload<R: Read>(
+pub(crate) fn read_tail<R: Read>(
     r: &mut R,
     raw_len: usize,
     pool: Option<&BufferPool>,
@@ -427,7 +211,8 @@ fn read_block_or_payload<R: Read>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcuda_core::Dim3;
+    use crate::wire::put_u32;
+    use rcuda_core::{DevicePtr, Dim3};
     use std::io::Cursor;
 
     fn round_trip(req: &Request) -> Request {

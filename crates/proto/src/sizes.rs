@@ -281,6 +281,53 @@ mod tests {
         }
     }
 
+    /// Each Table I send total is what the matching request puts on the
+    /// wire. The one documented deviation is Launch's 4-byte region-length
+    /// word (see `Request::wire_bytes`).
+    #[test]
+    fn send_totals_match_request_wire_bytes() {
+        use crate::ids::MemcpyKind;
+        use crate::{LaunchConfig, Request};
+        use rcuda_core::DevicePtr;
+        let x = 100;
+        for op in OpKind::ALL {
+            let memcpy = |kind, data| Request::Memcpy {
+                dst: 1,
+                src: 2,
+                size: x as u32,
+                kind,
+                data,
+            };
+            let (req, deviation) = match op {
+                OpKind::Initialization => (
+                    Request::Init {
+                        module: vec![0; x as usize],
+                    },
+                    0,
+                ),
+                OpKind::Malloc => (Request::Malloc { size: x as u32 }, 0),
+                OpKind::MemcpyToDevice => (
+                    memcpy(MemcpyKind::HostToDevice, Some(vec![0; x as usize].into())),
+                    0,
+                ),
+                OpKind::MemcpyToHost => (memcpy(MemcpyKind::DeviceToHost, None), 0),
+                // Region: "k", its NUL, then 98 argument bytes.
+                OpKind::Launch => (Request::launch("k", &[0; 98], LaunchConfig::default()), 4),
+                OpKind::Free => (
+                    Request::Free {
+                        ptr: DevicePtr::new(1),
+                    },
+                    0,
+                ),
+            };
+            assert_eq!(
+                op.totals().resolve(x).0 + deviation,
+                req.wire_bytes(),
+                "{op:?}"
+            );
+        }
+    }
+
     #[test]
     fn field_size_display() {
         assert_eq!(FieldSize::Fixed(4).to_string(), "4");

@@ -6,7 +6,50 @@
 
 use std::io::{self, IoSlice, Read, Write};
 
+use rcuda_core::DevicePtr;
+
 use crate::payload::{BufferPool, Payload, MAX_POOLED_BYTES};
+
+/// A fixed-width field of a request head (see [`crate::ids`]): its width on
+/// the wire and its little-endian encoding.
+pub(crate) trait Field: Sized {
+    /// Bytes on the wire.
+    const WIDTH: usize;
+
+    /// Write exactly `WIDTH` bytes.
+    fn put<W: Write>(&self, w: &mut W) -> io::Result<()>;
+
+    /// Read exactly `WIDTH` bytes.
+    fn get<R: Read>(r: &mut R) -> io::Result<Self>;
+}
+
+impl Field for u32 {
+    const WIDTH: usize = 4;
+
+    #[inline]
+    fn put<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        put_u32(w, *self)
+    }
+
+    #[inline]
+    fn get<R: Read>(r: &mut R) -> io::Result<Self> {
+        get_u32(r)
+    }
+}
+
+impl Field for DevicePtr {
+    const WIDTH: usize = 4;
+
+    #[inline]
+    fn put<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        put_u32(w, self.addr())
+    }
+
+    #[inline]
+    fn get<R: Read>(r: &mut R) -> io::Result<Self> {
+        get_u32(r).map(DevicePtr::new)
+    }
+}
 
 /// Write a little-endian `u32` (4 bytes — the unit of almost every Table I
 /// field).

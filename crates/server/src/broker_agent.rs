@@ -136,7 +136,7 @@ type AtomicStop = Arc<AtomicBool>;
 fn heartbeat_snapshot(shared: &Shared, pool: &GpuPool) -> Heartbeat {
     let c = &shared.counters;
     let mut sessions = shared.registry.parked_tokens();
-    sessions.extend(shared.live_tokens.lock().iter().copied());
+    sessions.extend(shared.live_tokens().iter().copied());
     sessions.sort_unstable();
     sessions.dedup();
     let free_bytes = pool

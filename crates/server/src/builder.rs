@@ -6,13 +6,13 @@
 //! reactor-era knobs (shard count, drop-time drain deadline) without
 //! another constructor variant per combination.
 
-use parking_lot::Mutex;
 use rcuda_gpu::GpuDevice;
 use rcuda_obs::ObsHandle;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::Arc;
+use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::broker_agent::{BrokerAgent, BrokerAgentConfig};

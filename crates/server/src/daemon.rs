@@ -1,7 +1,7 @@
 //! The TCP daemon: accept loop + the sharded reactor core.
 //!
 //! Admitted connections are multiplexed onto a small fixed pool of reactor
-//! shards (see [`crate::reactor`]) instead of one thread per connection:
+//! shards (the crate's `reactor` module) instead of one thread per connection:
 //! the thread count is set by [`DaemonBuilder::shards`], not by how many
 //! clients are connected, so thousands of concurrent remote executions
 //! cost neither stacks nor scheduler churn. Each session still gets its
@@ -126,7 +126,7 @@ pub(crate) fn migrate_out_shared(
     let ctx = match shared.registry.take(session) {
         Some(ctx) => ctx,
         None => {
-            if !shared.live_tokens.lock().contains(&session) {
+            if !shared.live_tokens().contains(&session) {
                 return Err(io::Error::new(
                     io::ErrorKind::NotFound,
                     "unknown session token",
@@ -359,7 +359,7 @@ impl RcudaDaemon {
     /// advertises this list; drain-time migration walks it.
     pub fn session_tokens(&self) -> Vec<u64> {
         let mut tokens = self.shared.registry.parked_tokens();
-        tokens.extend(self.shared.live_tokens.lock().iter().copied());
+        tokens.extend(self.shared.live_tokens().iter().copied());
         tokens.sort_unstable();
         tokens.dedup();
         tokens
@@ -385,7 +385,7 @@ impl RcudaDaemon {
 
     /// Reports of completed sessions.
     pub fn session_reports(&self) -> Vec<SessionReport> {
-        self.shared.reports.lock().clone()
+        self.shared.reports().clone()
     }
 
     /// A snapshot of the daemon's admission and resource counters.

@@ -3,7 +3,7 @@
 //! Two entry points share one handshake:
 //!
 //! * **Reactor path** — a connection whose first message is a
-//!   [`MuxHello`] is pulled out of its shard ([`spawn_reactor_trunk`]):
+//!   [`MuxHello`] is pulled out of its shard (`spawn_reactor_trunk`):
 //!   a dedicated host thread completes the blocking challenge-response
 //!   handshake, splits the transport, and stands up a [`MuxPeer`] whose
 //!   accepted sub-streams are admitted — each against the daemon's
@@ -24,7 +24,6 @@
 //! With no token configured both ends MAC under the empty key, so open
 //! daemons still complete the same handshake.
 
-use parking_lot::Mutex;
 use rcuda_core::{CudaError, SharedClock};
 use rcuda_gpu::GpuDevice;
 use rcuda_proto::handshake::ServerHello;
@@ -39,6 +38,7 @@ use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
+use std::sync::{Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -63,11 +63,12 @@ pub(crate) struct MuxLinks {
 
 impl MuxLinks {
     pub(crate) fn install(&self, reactor: &Arc<Reactor>, pool: &Arc<GpuPool>) {
-        *self.inner.lock() = Some((Arc::downgrade(reactor), Arc::clone(pool)));
+        *self.inner.lock().unwrap_or_else(PoisonError::into_inner) =
+            Some((Arc::downgrade(reactor), Arc::clone(pool)));
     }
 
     fn get(&self) -> Option<(Arc<Reactor>, Arc<GpuPool>)> {
-        let guard = self.inner.lock();
+        let guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let (reactor, pool) = guard.as_ref()?;
         Some((reactor.upgrade()?, Arc::clone(pool)))
     }
@@ -325,7 +326,10 @@ pub fn serve_mux_trunk<T: Transport + 'static>(
                 serve_connection_with_registry(stream, &device, clock, &config, &registry)
             })
             .expect("spawn mux stream worker");
-        spawned.lock().push(handle);
+        spawned
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(handle);
     });
 
     while !peer.is_dead() {
@@ -333,7 +337,7 @@ pub fn serve_mux_trunk<T: Transport + 'static>(
     }
     drop(peer);
 
-    let handles = std::mem::take(&mut *workers.lock());
+    let handles = std::mem::take(&mut *workers.lock().unwrap_or_else(PoisonError::into_inner));
     Ok(handles
         .into_iter()
         .filter_map(|h| h.join().ok().and_then(|r| r.ok()))

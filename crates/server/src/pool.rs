@@ -6,10 +6,10 @@
 //! one of them under a pluggable policy. Assignment returns a guard whose
 //! lifetime tracks the session, so load accounting is automatic.
 
-use parking_lot::Mutex;
 use rcuda_gpu::GpuDevice;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::sync::{Mutex, PoisonError};
 
 /// Session-placement policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,7 +82,7 @@ impl GpuPool {
     pub fn assign(&self) -> (Arc<GpuDevice>, PoolGuard) {
         let idx = match self.policy {
             PoolPolicy::RoundRobin => {
-                let mut next = self.next_rr.lock();
+                let mut next = self.next_rr.lock().unwrap_or_else(PoisonError::into_inner);
                 let idx = *next;
                 *next = (*next + 1) % self.devices.len();
                 idx

@@ -28,8 +28,6 @@
 //! machine is daemon-side only: admission accounting, the pool seat, drain
 //! and halt, and the live-migration quiesce check.
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-use parking_lot::Mutex;
 use rcuda_core::time::wall_clock;
 use rcuda_core::Clock as _;
 use rcuda_gpu::{GpuContext, GpuDevice};
@@ -41,7 +39,9 @@ use std::collections::{HashMap, HashSet};
 use std::io;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -138,8 +138,11 @@ impl MigrationTable {
     /// Arm an order for `session`; the context arrives on the returned
     /// channel once its connection reaches a frame boundary.
     pub(crate) fn arm(&self, session: u64) -> Receiver<GpuContext> {
-        let (tx, rx) = unbounded();
-        self.orders.lock().insert(session, tx);
+        let (tx, rx) = channel();
+        self.orders
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(session, tx);
         self.armed.store(true, Ordering::SeqCst);
         rx
     }
@@ -148,7 +151,7 @@ impl MigrationTable {
     /// may have raced the withdrawal and already sent — the caller must
     /// drain the receiver once more after this.
     pub(crate) fn disarm(&self, session: u64) {
-        let mut orders = self.orders.lock();
+        let mut orders = self.orders.lock().unwrap_or_else(PoisonError::into_inner);
         orders.remove(&session);
         if orders.is_empty() {
             self.armed.store(false, Ordering::SeqCst);
@@ -162,7 +165,7 @@ impl MigrationTable {
 
     /// Claim the order for `session`, if one is armed.
     fn take(&self, session: u64) -> Option<Sender<GpuContext>> {
-        let mut orders = self.orders.lock();
+        let mut orders = self.orders.lock().unwrap_or_else(PoisonError::into_inner);
         let tx = orders.remove(&session);
         if orders.is_empty() {
             self.armed.store(false, Ordering::SeqCst);
@@ -192,6 +195,18 @@ pub(crate) struct Shared {
     /// Set once a drain begins, for the broker heartbeat's `draining` flag
     /// (the broker stops placing new sessions here).
     pub(crate) draining: AtomicBool,
+}
+
+impl Shared {
+    pub(crate) fn reports(&self) -> MutexGuard<'_, Vec<SessionReport>> {
+        self.reports.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    pub(crate) fn live_tokens(&self) -> MutexGuard<'_, HashSet<u64>> {
+        self.live_tokens
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A freshly admitted connection on its way to a shard.
@@ -225,7 +240,7 @@ impl Reactor {
     pub(crate) fn start(n: usize, shared: &Arc<Shared>) -> Reactor {
         let shards = (0..n.max(1) as u32)
             .map(|id| {
-                let (tx, rx) = unbounded::<NewConn>();
+                let (tx, rx) = channel::<NewConn>();
                 let queued = Arc::new(AtomicU32::new(0));
                 let shard_queued = Arc::clone(&queued);
                 let shard_shared = Arc::clone(shared);
@@ -265,7 +280,12 @@ impl Reactor {
     /// this blocks forever.
     pub(crate) fn join(&self) {
         for shard in &self.shards {
-            if let Some(t) = shard.thread.lock().take() {
+            if let Some(t) = shard
+                .thread
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take()
+            {
                 let _ = t.join();
             }
         }
@@ -488,7 +508,7 @@ impl Conn {
                 Step::Handshake => {
                     res.progress = true;
                     if let Some(token) = self.machine.token() {
-                        shared.live_tokens.lock().insert(token);
+                        shared.live_tokens().insert(token);
                     }
                 }
                 Step::Frame => {
@@ -543,7 +563,7 @@ impl Conn {
         // A failed send means the daemon gave up waiting between our
         // checks and the send: keep serving as if nothing happened.
         if self.machine.detach(|ctx| tx.send(ctx).err().map(|e| e.0)) {
-            shared.live_tokens.lock().remove(&token);
+            shared.live_tokens().remove(&token);
             self.force_close();
             res.progress = true;
         }
@@ -557,7 +577,7 @@ impl Conn {
         if let Some(token) = self.machine.token() {
             // Parked tokens are advertised through the registry instead;
             // a migrated-away session already cleared its token.
-            shared.live_tokens.lock().remove(&token);
+            shared.live_tokens().remove(&token);
         }
         if let Some(report) = self.machine.finish(env) {
             if report.panicked {
@@ -567,7 +587,7 @@ impl Conn {
                 .counters
                 .reclaimed_bytes
                 .fetch_add(report.reclaimed_bytes, Ordering::SeqCst);
-            shared.reports.lock().push(report);
+            shared.reports().push(report);
             shared.sessions_served.fetch_add(1, Ordering::SeqCst);
         }
         shared.counters.served.fetch_add(1, Ordering::SeqCst);

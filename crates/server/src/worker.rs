@@ -83,8 +83,8 @@ pub struct ServerConfig {
     /// Use phantom device memory (timing-only sessions at paper scale).
     pub phantom_memory: bool,
     /// Server-side observer: every dispatched request reports a
-    /// [`ServerSpan`] (service time + in-frame queue wait), and the daemon
-    /// reports admission/reclamation [`DaemonEvent`]s. Disarmed by default
+    /// [`rcuda_obs::ServerSpan`] (service time + in-frame queue wait), and the daemon
+    /// reports admission/reclamation [`rcuda_obs::DaemonEvent`]s. Disarmed by default
     /// — the request loop then takes no timestamps at all.
     pub observer: ObsHandle,
     /// Admission cap on concurrently live sessions: connections beyond it

@@ -1,4 +1,4 @@
-//! In-process transport over crossbeam channels.
+//! In-process transport over `std::sync::mpsc` channels.
 //!
 //! Messages buffer locally until `flush`, then travel as one `Vec<u8>` —
 //! preserving the protocol's message boundaries without any real I/O.
@@ -6,9 +6,9 @@
 //! `UnexpectedEof` and its writes with `BrokenPipe`, mirroring socket
 //! behavior so connection-loss handling can be tested in-process.
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use rcuda_obs::{Dir, ObsHandle};
 use std::io::{self, Read, Write};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::time::Duration;
 
 use crate::stats::TransportStats;
@@ -31,8 +31,8 @@ pub struct ChannelTransport {
 
 /// Create a connected pair of endpoints.
 pub fn channel_pair() -> (ChannelTransport, ChannelTransport) {
-    let (tx_a, rx_b) = unbounded();
-    let (tx_b, rx_a) = unbounded();
+    let (tx_a, rx_b) = channel();
+    let (tx_b, rx_a) = channel();
     let mk = |tx, rx| ChannelTransport {
         tx,
         rx,
@@ -126,7 +126,7 @@ impl Write for ChannelTransport {
 }
 
 /// The receive half of a split [`ChannelTransport`]: blocking reads off the
-/// crossbeam receiver, carrying over any bytes the unsplit transport had
+/// `mpsc` receiver, carrying over any bytes the unsplit transport had
 /// already buffered.
 pub struct ChannelReadHalf {
     rx: Receiver<Vec<u8>>,
@@ -218,8 +218,8 @@ impl Transport for ChannelTransport {
                 self.stats.record_message_received();
                 Ok(true)
             }
-            Err(crossbeam::channel::TryRecvError::Empty) => Ok(false),
-            Err(crossbeam::channel::TryRecvError::Disconnected) => Ok(true),
+            Err(TryRecvError::Empty) => Ok(false),
+            Err(TryRecvError::Disconnected) => Ok(true),
         }
     }
 
@@ -232,11 +232,9 @@ impl Transport for ChannelTransport {
                     self.in_pos = 0;
                     self.stats.record_message_received();
                 }
-                Err(crossbeam::channel::TryRecvError::Empty) => return Ok(Progress::Pending),
+                Err(TryRecvError::Empty) => return Ok(Progress::Pending),
                 // A gone peer is EOF, matching socket semantics.
-                Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                    return Ok(Progress::Ready(0))
-                }
+                Err(TryRecvError::Disconnected) => return Ok(Progress::Ready(0)),
             }
         }
         let n = buf.len().min(self.in_buf.len() - self.in_pos);

@@ -8,7 +8,7 @@
 //!   paper's configuration ("we disabled the TCP-layer congestion control
 //!   algorithm ... Nagle's algorithm", §IV-A). Used by the functional
 //!   client/server over loopback or a real network.
-//! * [`ChannelTransport`] — in-process crossbeam channels; zero-latency, for
+//! * [`ChannelTransport`] — in-process `std::sync::mpsc` channels; zero-latency, for
 //!   unit and integration tests.
 //! * [`SimTransport`] — a channel pair that charges each flushed message's
 //!   latency to a shared (virtual) clock according to a
@@ -21,6 +21,8 @@
 //! Writers MUST call [`std::io::Write::flush`] exactly once per protocol
 //! message: the flush marks the message boundary that latency accounting
 //! (and TCP packetization) keys on.
+
+#![warn(unreachable_pub)]
 
 pub mod channel;
 pub mod fault;

@@ -24,6 +24,8 @@
 //! per-workload bound. [`calibrate`] fits the loopback-TCP link model the
 //! TCP estimates price against.
 
+#![warn(unreachable_pub)]
+
 pub mod calibrate;
 pub mod harness;
 pub mod sessions;

@@ -37,4 +37,9 @@ cargo fmt --all --check
 echo "== cargo clippy -D warnings ==" >&2
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc -D warnings (workspace crates, vendor excluded) ==" >&2
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace \
+    --exclude proptest --exclude rand --exclude serde --exclude serde_derive \
+    --exclude serde_json --exclude lz4_flex
+
 echo "All checks passed." >&2
