@@ -1,11 +1,14 @@
 //! The broker process: a TCP listener in front of the [`Directory`].
 //!
-//! One thread accepts connections; each connection gets a handler thread
+//! One thread blocks in `accept`; each connection gets a handler thread
 //! that completes the authentication handshake, reads the peer's
 //! [`BrokerHello`] role, and then loops — heartbeats for daemons,
 //! placement requests for clients. A sweeper thread advances the health
 //! state machine on a fixed cadence, so a silently-wedged daemon (no EOF,
-//! no heartbeats) is still detected.
+//! no heartbeats) is still detected. No thread sleeps to poll: membership
+//! changes and shutdown are signalled on one condition variable (the
+//! sweeper's cadence is a timed wait on it), and shutdown unblocks the
+//! accept by dialling the broker once.
 
 use rcuda_core::CudaError;
 use rcuda_obs::ObsHandle;
@@ -18,7 +21,7 @@ use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -34,12 +37,15 @@ const BROKER_PROTO_MINOR: u32 = 0;
 /// long a handler thread can linger after the peer wedges without EOF.
 const DAEMON_READ_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Accept-loop poll interval (the listener runs nonblocking so shutdown
-/// never waits on a dial).
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// Pause after a failed `accept` (`EMFILE` and the like), so a persistent
+/// failure does not spin the accept thread.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
 
 struct Inner {
     directory: Mutex<Directory>,
+    /// Paired with `directory`: notified when a daemon registers or
+    /// heartbeats (the only ways a daemon becomes Alive) and at shutdown.
+    changed: Condvar,
     /// Clones of every open connection, shut down to unblock handler
     /// threads at broker shutdown.
     conns: Mutex<Vec<TcpStream>>,
@@ -52,6 +58,22 @@ impl Inner {
         self.directory
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn stopping(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+
+    /// Wait up to `timeout`, returning early at shutdown. Returns whether
+    /// the broker is stopping.
+    fn pause(&self, timeout: Duration) -> bool {
+        let guard = self.directory();
+        drop(
+            self.changed
+                .wait_timeout_while(guard, timeout, |_| !self.stopping())
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+        self.stopping()
     }
 }
 
@@ -106,10 +128,10 @@ impl BrokerBuilder {
     /// Bind the listener and start the accept and sweeper threads.
     pub fn bind(self, addr: SocketAddr) -> io::Result<Broker> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let inner = Arc::new(Inner {
             directory: Mutex::new(Directory::new(self.policy, self.health, self.observer)),
+            changed: Condvar::new(),
             conns: Mutex::new(Vec::new()),
             auth_token: self.auth_token,
             stop: AtomicBool::new(false),
@@ -125,9 +147,12 @@ impl BrokerBuilder {
         let sweeper = std::thread::Builder::new()
             .name("rcuda-broker-sweep".into())
             .spawn(move || {
-                while !sweep_inner.stop.load(Ordering::SeqCst) {
+                let period = sweep_every.max(Duration::from_millis(1));
+                loop {
                     sweep_inner.directory().sweep(Instant::now());
-                    std::thread::sleep(sweep_every.max(Duration::from_millis(1)));
+                    if sweep_inner.pause(period) {
+                        break;
+                    }
                 }
             })?;
 
@@ -176,26 +201,31 @@ impl Broker {
 
     /// Wait until `n` daemons are registered and alive (test convenience).
     pub fn wait_for_daemons(&self, n: usize, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let alive = self
-                .daemons()
+        let alive = |dir: &Directory| {
+            dir.daemons()
                 .iter()
                 .filter(|d| d.state == crate::directory::DaemonState::Alive)
-                .count();
-            if alive >= n {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
+                .count()
+        };
+        let guard = self.inner.directory();
+        let (guard, _) = self
+            .inner
+            .changed
+            .wait_timeout_while(guard, timeout, |dir| alive(dir) < n)
+            .unwrap_or_else(PoisonError::into_inner);
+        alive(&guard) >= n
     }
 
     /// Stop the accept loop, unblock and join every handler thread.
     pub fn shutdown(&mut self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
+        if self.inner.stop.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        // Unblock the accept with a dummy connection, and the sweeper (the
+        // lock orders the notify after any `stopping` check it made).
+        let _ = TcpStream::connect(self.addr);
+        drop(self.inner.directory());
+        self.inner.changed.notify_all();
         for conn in self
             .inner
             .conns
@@ -218,12 +248,13 @@ impl Drop for Broker {
 }
 
 fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
-    while !inner.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if inner.stopping() {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
-                if stream.set_nonblocking(false).is_err() {
-                    continue;
-                }
                 if let Ok(clone) = stream.try_clone() {
                     inner
                         .conns
@@ -238,10 +269,11 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
                         let _ = serve_connection(stream, conn_inner);
                     });
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
+            Err(_) => {
+                if inner.pause(ACCEPT_ERROR_BACKOFF) {
+                    return;
+                }
             }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
         }
     }
 }
@@ -306,9 +338,10 @@ fn serve_daemon(
     capacity: u64,
 ) -> io::Result<()> {
     let id = inner.directory().register(&addr, capacity, Instant::now());
+    inner.changed.notify_all();
     stream.set_read_timeout(Some(DAEMON_READ_TIMEOUT))?;
     loop {
-        if inner.stop.load(Ordering::SeqCst) {
+        if inner.stopping() {
             return Ok(());
         }
         let hb = match Heartbeat::read(&mut stream) {
@@ -321,6 +354,7 @@ fn serve_daemon(
             }
         };
         let commands = inner.directory().heartbeat(id, &hb, Instant::now());
+        inner.changed.notify_all();
         let reply = HeartbeatReply { commands };
         if reply
             .write(&mut stream)
@@ -335,7 +369,7 @@ fn serve_daemon(
 
 fn serve_client(mut stream: TcpStream, inner: Arc<Inner>) -> io::Result<()> {
     loop {
-        if inner.stop.load(Ordering::SeqCst) {
+        if inner.stopping() {
             return Ok(());
         }
         let Ok(req) = PlaceRequest::read(&mut stream) else {
@@ -464,6 +498,22 @@ mod tests {
         // The right token works.
         let mut ok = BrokerClient::connect(broker.addr(), Some(b"cluster-secret")).unwrap();
         assert_eq!(ok.place(0).unwrap(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn dropping_an_idle_broker_is_prompt() {
+        // Best of three, so one descheduled drop on a loaded host is not
+        // read as a timer in the shutdown path.
+        let fastest = (0..3)
+            .map(|_| {
+                let broker = BrokerBuilder::new().bind(any_addr()).unwrap();
+                let start = Instant::now();
+                drop(broker);
+                start.elapsed()
+            })
+            .min()
+            .unwrap();
+        assert!(fastest < Duration::from_millis(50), "{fastest:?}");
     }
 
     #[test]

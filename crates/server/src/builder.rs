@@ -10,16 +10,13 @@ use rcuda_gpu::GpuDevice;
 use rcuda_obs::ObsHandle;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::Arc;
-use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::broker_agent::{BrokerAgent, BrokerAgentConfig};
 use crate::daemon::RcudaDaemon;
-use crate::mux_host::MuxLinks;
 use crate::pool::{GpuPool, PoolPolicy};
-use crate::reactor::{Counters, DrainState, MigrationTable, Shared};
+use crate::reactor::Shared;
 use crate::registry::ShardedRegistry;
 use crate::worker::{ChaosHook, ServerConfig};
 use rcuda_proto::secure::CipherSuiteKind;
@@ -215,19 +212,7 @@ impl DaemonBuilder {
             Some(cap) => ShardedRegistry::with_total_capacity(shards, cap.max(1)),
             None => ShardedRegistry::new(shards),
         };
-        let shared = Arc::new(Shared {
-            config: self.config,
-            counters: Counters::default(),
-            reports: Mutex::new(Vec::new()),
-            sessions_served: AtomicU64::new(0),
-            registry,
-            drain: DrainState::default(),
-            halt: AtomicBool::new(false),
-            links: MuxLinks::default(),
-            migrations: MigrationTable::default(),
-            live_tokens: Mutex::new(std::collections::HashSet::new()),
-            draining: AtomicBool::new(false),
-        });
+        let shared = Arc::new(Shared::new(self.config, registry));
         let mut daemon = RcudaDaemon::start(
             addr,
             Arc::clone(&pool),

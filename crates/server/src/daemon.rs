@@ -132,7 +132,7 @@ pub(crate) fn migrate_out_shared(
                     "unknown session token",
                 ));
             }
-            let rx = shared.migrations.arm(session);
+            let rx = shared.migrations.arm(session, &shared.wakers);
             match rx.recv_timeout(MIGRATE_QUIESCE_TIMEOUT) {
                 Ok(ctx) => ctx,
                 Err(_) => {
@@ -247,7 +247,7 @@ impl RcudaDaemon {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let reactor = Arc::new(Reactor::start(shards, &shared));
+        let reactor = Arc::new(Reactor::start(shards, &shared)?);
         shared.links.install(&reactor, &pool);
 
         let accept_stop = Arc::clone(&stop);
@@ -430,7 +430,7 @@ impl RcudaDaemon {
     pub fn drain(&mut self, deadline: Duration) -> DrainReport {
         self.shared.draining.store(true, Ordering::SeqCst);
         self.stop_accepting();
-        self.shared.drain.begin();
+        self.shared.drain.begin(&self.shared.wakers);
 
         let live = |shared: &Shared| shared.counters.live.load(Ordering::SeqCst);
         let end = Instant::now() + deadline;
@@ -438,7 +438,7 @@ impl RcudaDaemon {
             std::thread::sleep(Duration::from_millis(1));
         }
         if live(&self.shared) > 0 {
-            self.shared.drain.force();
+            self.shared.drain.force(&self.shared.wakers);
             while live(&self.shared) > 0 {
                 std::thread::sleep(Duration::from_millis(1));
             }
@@ -534,9 +534,7 @@ impl Drop for RcudaDaemon {
         if let Some(deadline) = self.drain_deadline {
             self.drain(deadline);
         }
-        // Halt the shards: live connections are force-finalized (their
-        // clients see a disconnect) and the threads exit.
-        self.shared.halt.store(true, Ordering::SeqCst);
+        self.shared.halt_shards();
         self.reactor.join();
     }
 }

@@ -34,6 +34,7 @@ pub mod builder;
 pub mod daemon;
 pub mod dispatch;
 pub mod mux_host;
+pub(crate) mod poll;
 pub mod pool;
 pub(crate) mod reactor;
 pub mod registry;
