@@ -27,6 +27,7 @@
 pub mod channel;
 pub mod fault;
 pub mod mux;
+pub mod poll;
 pub mod reconnect;
 pub mod sim;
 pub mod stats;

@@ -9,8 +9,10 @@
 use rcuda_obs::{Dir, ObsHandle};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::os::unix::io::AsRawFd;
+use std::time::{Duration, Instant};
 
+use crate::poll::{wait_readable, WARM_WAIT, WARM_WAITS};
 use crate::stats::TransportStats;
 use crate::{Progress, Transport};
 
@@ -44,6 +46,8 @@ pub struct TcpTransport {
     /// received message per request/response exchange (TCP itself has no
     /// message boundaries to count exactly).
     awaiting_response: bool,
+    /// Set by [`Transport::set_nonblocking`]: reads then never wait.
+    nonblocking: bool,
 }
 
 impl TcpTransport {
@@ -71,6 +75,7 @@ impl TcpTransport {
             dial_addr: None,
             read_timeout: None,
             awaiting_response: false,
+            nonblocking: false,
         })
     }
 
@@ -91,10 +96,38 @@ impl TcpTransport {
         let _ = self.writer.flush();
         self.reader.get_ref().shutdown(std::net::Shutdown::Both)
     }
+
+    /// Wait for bytes before a blocking read, in the warm window of
+    /// [`crate::poll`], so a peer that answers within it wakes this thread
+    /// from a shallow sleep. A read deadline bounds the window, and past
+    /// the window bounds the rest of the wait too (failing with
+    /// `WouldBlock`, as the socket's own read timeout does); without one,
+    /// a longer silence is left to the blocking read.
+    fn await_readable(&self) -> io::Result<()> {
+        let fd = self.reader.get_ref().as_raw_fd();
+        let end = self.read_timeout.map(|t| Instant::now() + t);
+        let left = || end.map(|end| end.saturating_duration_since(Instant::now()));
+        for _ in 0..WARM_WAITS {
+            let slice = left().map_or(WARM_WAIT, |left| left.min(WARM_WAIT));
+            if wait_readable(fd, Some(slice)) {
+                return Ok(());
+            }
+            if left() == Some(Duration::ZERO) {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+        }
+        match left() {
+            Some(left) if !wait_readable(fd, Some(left)) => Err(io::ErrorKind::WouldBlock.into()),
+            _ => Ok(()),
+        }
+    }
 }
 
 impl Read for TcpTransport {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if !self.nonblocking && self.reader.buffer().is_empty() {
+            self.await_readable()?;
+        }
         let n = self.reader.read(buf)?;
         self.stats.record_recv(n as u64);
         if n > 0 {
@@ -171,7 +204,11 @@ impl Transport for TcpTransport {
     fn set_read_deadline(&mut self, timeout: Option<Duration>) -> io::Result<()> {
         // A socket read timeout bounds each read syscall, not the whole
         // message; for the protocol's small fixed-size reads that is the
-        // same bound in practice.
+        // same bound in practice. Clients re-arm before every call, so an
+        // unchanged timeout skips the syscall.
+        if timeout == self.read_timeout {
+            return Ok(());
+        }
         self.reader.get_ref().set_read_timeout(timeout)?;
         self.read_timeout = timeout;
         Ok(())
@@ -195,6 +232,7 @@ impl Transport for TcpTransport {
         self.dirty = false;
         self.pending_out = 0;
         self.awaiting_response = false;
+        self.nonblocking = false;
         self.stats.record_reconnect();
         self.obs.emit_reconnect();
         Ok(())
@@ -207,7 +245,9 @@ impl Transport for TcpTransport {
     fn set_nonblocking(&mut self, nonblocking: bool) -> io::Result<()> {
         // Reader and writer are clones of one socket, so O_NONBLOCK set on
         // either applies to both directions.
-        self.reader.get_ref().set_nonblocking(nonblocking)
+        self.reader.get_ref().set_nonblocking(nonblocking)?;
+        self.nonblocking = nonblocking;
+        Ok(())
     }
 
     fn poll_readable(&mut self) -> io::Result<bool> {
@@ -585,5 +625,45 @@ mod tests {
         server.join().unwrap();
         let mut buf = [0u8; 1];
         assert!(client.read_exact(&mut buf).is_err());
+    }
+
+    /// A reply later than the warm window still arrives: the read falls
+    /// through to the blocking read instead of timing out.
+    #[test]
+    fn a_reply_after_the_warm_window_is_still_read() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut t = TcpTransport::from_stream(stream).unwrap();
+            thread::sleep(WARM_WAIT * WARM_WAITS + Duration::from_millis(20));
+            t.write_all(b"late").unwrap();
+            t.flush().unwrap();
+        });
+        let mut client = TcpTransport::connect(addr).unwrap();
+        let mut buf = [0u8; 4];
+        client.read_exact(&mut buf).unwrap();
+        assert_eq!(&buf, b"late");
+        server.join().unwrap();
+    }
+
+    /// A read deadline shorter than the warm window ends the wait on time.
+    #[test]
+    fn a_deadline_inside_the_warm_window_is_kept() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut client = TcpTransport::connect(addr).unwrap();
+        let (_silent, _) = listener.accept().unwrap();
+        let deadline = WARM_WAIT * 2;
+        client.set_read_deadline(Some(deadline)).unwrap();
+        let start = Instant::now();
+        let mut buf = [0u8; 1];
+        let err = client.read_exact(&mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock, "got {err:?}");
+        let took = start.elapsed();
+        assert!(took >= deadline, "gave up after {took:?}");
+        // Running the whole window and then the deadline again takes at
+        // least this long.
+        assert!(took < WARM_WAIT * WARM_WAITS + deadline, "waited {took:?}");
     }
 }
